@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -12,13 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-// This file runs the adaptive-vs-static evaluation grid behind
-// BENCH_adaptive.json and `make bench-adaptive-smoke`: every (arrival
-// pattern × message size) point measured under each static strategy and
-// under StrategyAdaptive, with a Hunold-style performance-guideline check —
-// the self-tuning design must never trail the best static design by more
-// than a bound, and must strictly beat the worst static design where
-// arrival skew gives adaptation something to exploit (bursty, straggler).
+// This file runs the adaptive-vs-static evaluation grid behind the
+// ablation-adaptive experiment and TestAdaptiveGuardOnSmokeGrid: every
+// (arrival pattern × message size) point measured under each static
+// strategy and under StrategyAdaptive, with a Hunold-style
+// performance-guideline check — the self-tuning design must never trail
+// the best static design by more than a bound, and must strictly beat the
+// worst static design where arrival skew gives adaptation something to
+// exploit (bursty, straggler).
 
 // AdaptiveGridConfig describes the evaluation grid.
 type AdaptiveGridConfig struct {
@@ -77,25 +75,25 @@ func (c AdaptiveGridConfig) withDefaults() AdaptiveGridConfig {
 // AdaptivePoint is one grid point's measurements: mean round-completion
 // latency per design plus the adaptive run's decision telemetry.
 type AdaptivePoint struct {
-	Pattern string `json:"pattern"`
-	Bytes   int    `json:"bytes"`
+	Pattern string
+	Bytes   int
 	// Mean round-completion latencies (receiver-observed), nanoseconds.
-	BaselineNs int64 `json:"baseline_ns"`
-	PLogGPNs   int64 `json:"ploggp_ns"`
-	TimerNs    int64 `json:"timer_ns"`
-	AdaptiveNs int64 `json:"adaptive_ns"`
+	BaselineNs int64
+	PLogGPNs   int64
+	TimerNs    int64
+	AdaptiveNs int64
 	// BestStatic / WorstStatic summarize the static field.
-	BestStatic    string `json:"best_static"`
-	BestStaticNs  int64  `json:"best_static_ns"`
-	WorstStatic   string `json:"worst_static"`
-	WorstStaticNs int64  `json:"worst_static_ns"`
+	BestStatic    string
+	BestStaticNs  int64
+	WorstStatic   string
+	WorstStaticNs int64
 	// Decision telemetry from the adaptive run.
-	Switches         int    `json:"switches"`
-	FinalMode        string `json:"final_mode"`
-	FinalTransport   int    `json:"final_transport"`
-	FinalDeltaNs     int64  `json:"final_delta_ns"`
-	RegretNs         int64  `json:"regret_ns"`
-	RecordedArrivals int64  `json:"recorded_arrivals"`
+	Switches         int
+	FinalMode        string
+	FinalTransport   int
+	FinalDeltaNs     int64
+	RegretNs         int64
+	RecordedArrivals int64
 }
 
 // adaptiveStaticDesigns is the static field the adaptive strategy is
@@ -207,59 +205,4 @@ func CheckAdaptiveGuard(points []AdaptivePoint, bound float64) []string {
 		}
 	}
 	return violations
-}
-
-// AdaptiveReport is the machine-readable record of the adaptive-vs-static
-// grid (written as BENCH_adaptive.json by cmd/partbench): one point per
-// (arrival pattern × size) with the guard verdict, tracked PR over PR like
-// the other BENCH_*.json records.
-type AdaptiveReport struct {
-	Tool       string `json:"tool"`
-	Workload   string `json:"workload"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// CoreHash fingerprints the internal/core sources the record was
-	// produced against (stamped by make via -corehash) so staleness is
-	// detectable; empty in records predating the tracking.
-	CoreHash string `json:"core_hash,omitempty"`
-	// GuardBound is the never-worse factor the grid was checked against;
-	// Violations lists every failing point (empty = guard holds).
-	GuardBound float64         `json:"guard_bound"`
-	Violations []string        `json:"violations,omitempty"`
-	Points     []AdaptivePoint `json:"points"`
-}
-
-// NewAdaptiveReport assembles the report from a measured grid, running the
-// guard check at the given bound.
-func NewAdaptiveReport(tool, workload, coreHash string, bound float64, points []AdaptivePoint) AdaptiveReport {
-	return AdaptiveReport{
-		Tool:       tool,
-		Workload:   workload,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CoreHash:   coreHash,
-		GuardBound: bound,
-		Violations: CheckAdaptiveGuard(points, bound),
-		Points:     points,
-	}
-}
-
-// ReadAdaptiveFile parses a previously written adaptive grid report.
-func ReadAdaptiveFile(path string) (AdaptiveReport, error) {
-	var r AdaptiveReport
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
-// WriteAdaptiveFile writes the report as indented JSON to path.
-func WriteAdaptiveFile(path string, r AdaptiveReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -8,9 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// smokeGrid is the small (pattern × size) grid the guard tests measure —
-// the same shape `make bench-adaptive-smoke` runs, sized to finish in
-// seconds rather than the full BENCH_adaptive.json grid.
+// smokeGrid is the small (pattern × size) grid the guard tests measure,
+// sized to finish in seconds rather than the full default grid.
 func smokeGrid() AdaptiveGridConfig {
 	return AdaptiveGridConfig{
 		Parts:   16,
@@ -24,27 +23,40 @@ func smokeGrid() AdaptiveGridConfig {
 }
 
 // TestAdaptiveGuardOnSmokeGrid is the Hunold-style acceptance check: on
-// every smoke-grid point the adaptive strategy must stay within
+// every grid point the adaptive strategy must stay within
 // AdaptiveGuardBound of the best static design post-warm-up, and strictly
-// beat the worst static design on the skewed patterns.
+// beat the worst static design on the skewed patterns. It runs on the
+// smoke grid and on the grid `partbench -experiment ablation-adaptive
+// -quick` renders.
 func TestAdaptiveGuardOnSmokeGrid(t *testing.T) {
-	points, err := RunAdaptiveGrid(smokeGrid())
-	if err != nil {
-		t.Fatal(err)
+	grids := []struct {
+		name string
+		cfg  AdaptiveGridConfig
+	}{
+		{"smoke", smokeGrid()},
+		{"quick", AdaptiveGridConfig{Sizes: []int{256 << 10}, Iters: 16}},
 	}
-	if want := len(trace.PatternKinds()); len(points) != want {
-		t.Fatalf("got %d grid points, want %d", len(points), want)
-	}
-	for _, p := range points {
-		t.Logf("%-10s %8dB  base=%dns ploggp=%dns timer=%dns adaptive=%dns  switches=%d final=%s/t%d δ=%dns",
-			p.Pattern, p.Bytes, p.BaselineNs, p.PLogGPNs, p.TimerNs, p.AdaptiveNs,
-			p.Switches, p.FinalMode, p.FinalTransport, p.FinalDeltaNs)
-		if p.RecordedArrivals == 0 {
-			t.Errorf("%s: adaptive run recorded no arrivals", p.Pattern)
-		}
-	}
-	for _, v := range CheckAdaptiveGuard(points, AdaptiveGuardBound) {
-		t.Error(v)
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
+			points, err := RunAdaptiveGrid(g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(trace.PatternKinds()); len(points) != want {
+				t.Fatalf("got %d grid points, want %d", len(points), want)
+			}
+			for _, p := range points {
+				t.Logf("%-10s %8dB  base=%dns ploggp=%dns timer=%dns adaptive=%dns  switches=%d final=%s/t%d δ=%dns",
+					p.Pattern, p.Bytes, p.BaselineNs, p.PLogGPNs, p.TimerNs, p.AdaptiveNs,
+					p.Switches, p.FinalMode, p.FinalTransport, p.FinalDeltaNs)
+				if p.RecordedArrivals == 0 {
+					t.Errorf("%s: adaptive run recorded no arrivals", p.Pattern)
+				}
+			}
+			for _, v := range CheckAdaptiveGuard(points, AdaptiveGuardBound) {
+				t.Error(v)
+			}
+		})
 	}
 }
 

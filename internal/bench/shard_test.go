@@ -222,3 +222,49 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSweepWindowCeiling is the skip-ahead regression gate: a small
+// Sweep3D wavefront at two shards must reproduce the serial per-iteration
+// times and finish in at most 40 fleet dispatch windows. Skip-ahead
+// currently needs 5; a fixed-λ window march pays one window per hop (276
+// here), so the ceiling leaves headroom without admitting that regression.
+func TestShardedSweepWindowCeiling(t *testing.T) {
+	const windowCeiling = 40
+	base := SweepConfig{
+		GridX:    8,
+		GridY:    4,
+		Threads:  4,
+		Bytes:    16 << 10,
+		Compute:  20 * time.Microsecond,
+		NoisePct: 5,
+		Warmup:   1,
+		Iters:    2,
+		Opts:     core.Options{Strategy: core.StrategyPLogGP},
+	}
+	serial, err := RunSweep(base)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	cfg := base
+	cfg.Shards = 2
+	sharded, err := RunSweep(cfg)
+	if err != nil {
+		t.Fatalf("sharded: %v", err)
+	}
+	if len(serial.IterTimes) != len(sharded.IterTimes) {
+		t.Fatalf("iteration counts differ: serial %d sharded %d", len(serial.IterTimes), len(sharded.IterTimes))
+	}
+	for i := range serial.IterTimes {
+		if serial.IterTimes[i] != sharded.IterTimes[i] {
+			t.Errorf("iter %d: serial %v != sharded %v", i, serial.IterTimes[i], sharded.IterTimes[i])
+		}
+	}
+	st := sharded.ShardStats
+	if st == nil {
+		t.Fatal("sharded run reported no shard stats")
+	}
+	if st.Windows > windowCeiling {
+		t.Errorf("executed %d dispatch windows, above the ceiling of %d", st.Windows, windowCeiling)
+	}
+	t.Logf("%d windows, %d tmin hops, %d cross-shard posts", st.Windows, st.TminHops, st.CrossPosts)
+}

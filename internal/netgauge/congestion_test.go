@@ -1,6 +1,7 @@
 package netgauge
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -43,48 +44,67 @@ func TestIncastVsPermutationSpread(t *testing.T) {
 
 // TestCongestionDeterministicAcrossShards pins the canonical-order
 // discipline end to end: every pattern must produce identical reports
-// under any shard and worker count, on fat-tree and dragonfly alike.
+// under any shard and worker count, on fat-tree and dragonfly alike. The
+// k=8 case is the incast/permutation pair of
+// TestIncastVsPermutationSpread, so the contended run is pinned too.
 func TestCongestionDeterministicAcrossShards(t *testing.T) {
-	topos := []*fabric.Topology{}
-	if ft, err := fabric.NewFatTree(fabric.FatTreeConfig{K: 4}); err != nil {
+	ft4, err := fabric.NewFatTree(fabric.FatTreeConfig{K: 4})
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		topos = append(topos, ft)
 	}
-	if df, err := fabric.NewDragonfly(fabric.DragonflyConfig{Groups: 4, Routers: 2, HostsPer: 1}); err != nil {
+	df, err := fabric.NewDragonfly(fabric.DragonflyConfig{Groups: 4, Routers: 2, HostsPer: 1})
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		topos = append(topos, df)
 	}
-	for _, topo := range topos {
-		for _, pattern := range []string{"incast:4", "permutation", "bisection"} {
-			base, err := Congestion(CongestionConfig{Topo: topo, Pattern: pattern, Bytes: 128 << 10})
+	ft8, err := fabric.NewFatTree(fabric.FatTreeConfig{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := []string{"incast:4", "permutation", "bisection"}
+	allLayouts := [][2]int{{2, 1}, {2, 2}, {4, 1}, {4, 2}, {8, 1}, {8, 2}}
+	cases := []struct {
+		topo     *fabric.Topology
+		patterns []string
+		bytes    int
+		layouts  [][2]int // (shards, workers)
+	}{
+		{ft4, small, 128 << 10, allLayouts},
+		{df, small, 128 << 10, allLayouts},
+		{ft8, []string{"incast:16", "permutation"}, 256 << 10, [][2]int{{2, 1}, {4, 2}, {8, 2}}},
+	}
+	for _, c := range cases {
+		topo := c.topo
+		for _, pattern := range c.patterns {
+			base, err := Congestion(CongestionConfig{Topo: topo, Pattern: pattern, Bytes: c.bytes})
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", topo.Name(), pattern, err)
 			}
-			for _, shards := range []int{2, 4, 8} {
-				for _, workers := range []int{1, 2} {
-					got, err := Congestion(CongestionConfig{
-						Topo: topo, Pattern: pattern, Bytes: 128 << 10,
-						Shards: shards, Workers: workers,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s shards=%d: %v", topo.Name(), pattern, shards, err)
+			for _, layout := range c.layouts {
+				shards, workers := layout[0], layout[1]
+				got, err := Congestion(CongestionConfig{
+					Topo: topo, Pattern: pattern, Bytes: c.bytes,
+					Shards: shards, Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("%s/%s shards=%d: %v", topo.Name(), pattern, shards, err)
+				}
+				if got.Completion != base.Completion {
+					t.Errorf("%s/%s shards=%d workers=%d completion %v != serial %v",
+						topo.Name(), pattern, shards, workers, got.Completion, base.Completion)
+				}
+				if got.QueueP99 != base.QueueP99 || got.MaxLinkUtilization != base.MaxLinkUtilization {
+					t.Errorf("%s/%s shards=%d workers=%d link stats diverge from serial",
+						topo.Name(), pattern, shards, workers)
+				}
+				for i, l := range got.Links {
+					if b := base.Links[i]; l != b {
+						t.Errorf("%s/%s shards=%d link %s diverges: %+v vs %+v",
+							topo.Name(), pattern, shards, l.Name, l, b)
 					}
-					if got.Completion != base.Completion {
-						t.Errorf("%s/%s shards=%d workers=%d completion %v != serial %v",
-							topo.Name(), pattern, shards, workers, got.Completion, base.Completion)
-					}
-					if got.QueueP99 != base.QueueP99 || got.MaxLinkUtilization != base.MaxLinkUtilization {
-						t.Errorf("%s/%s shards=%d workers=%d link stats diverge from serial",
-							topo.Name(), pattern, shards, workers)
-					}
-					for i, l := range got.Links {
-						if b := base.Links[i]; l != b {
-							t.Errorf("%s/%s shards=%d link %s diverges: %+v vs %+v",
-								topo.Name(), pattern, shards, l.Name, l, b)
-						}
-					}
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s/%s shards=%d workers=%d report diverges from serial",
+						topo.Name(), pattern, shards, workers)
 				}
 			}
 		}

@@ -82,10 +82,6 @@ const (
 // tickOf maps a timestamp to its calendar tick.
 func tickOf(t Time) int64 { return int64(t) >> bucketShift }
 
-// SchedulerName identifies the event-queue implementation, recorded in
-// benchmark reports so perf numbers are attributable to the queue design.
-const SchedulerName = "calendar-256x2us+4ary"
-
 // DeadlockError is returned by Run when the event queue drains while
 // non-daemon procs are still parked: nothing can ever wake them.
 type DeadlockError struct {
