@@ -188,6 +188,28 @@ func TestAtCallSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestProcSwitchSteadyStateZeroAllocs is the allocation regression gate on
+// proc switching: spawning a proc on a recycled shell, dispatching it,
+// parking it in Sleep and letting it exit allocates nothing. RunUntil keeps
+// the shell's coroutine across rounds (Run would stop it on return).
+func TestProcSwitchSteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	round := func() {
+		e.Spawn("w", body)
+		if err := e.RunUntil(e.Now().Add(time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // create the shell, its coroutine and the event free list
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("proc spawn+dispatch+park+exit allocates %.1f/op, want 0", allocs)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTotalEventsAccumulates checks the process-wide counter moves when an
 // engine run completes.
 func TestTotalEventsAccumulates(t *testing.T) {
@@ -229,8 +251,8 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkProcParkResume measures a full proc park/resume round trip
-// through the single-channel rendezvous.
+// BenchmarkProcParkResume measures a full proc park/resume round trip:
+// one coroutine switch into the proc and one back.
 func BenchmarkProcParkResume(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("bench", func(p *Proc) {
@@ -238,6 +260,38 @@ func BenchmarkProcParkResume(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// forkJoin spawns a root proc on e that, for each of rounds rounds, forks
+// workers procs that sleep 1µs and then sleeps on a Group until they all
+// join — the shape of the bench, halo and sweep rank threads.
+func forkJoin(e *Engine, rounds, workers int) {
+	g := NewGroup(e)
+	worker := func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		g.Done()
+	}
+	e.Spawn("root", func(p *Proc) {
+		for r := 0; r < rounds; r++ {
+			for w := 0; w < workers; w++ {
+				g.Add(1)
+				e.Spawn("worker", worker)
+			}
+			g.Wait(p)
+		}
+	})
+}
+
+// BenchmarkProcSpawnJoin measures one fork-join round of 8 workers on
+// recycled shells: an op is 8 spawns and 17 switches each way.
+func BenchmarkProcSpawnJoin(b *testing.B) {
+	e := NewEngine()
+	forkJoin(e, b.N, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {

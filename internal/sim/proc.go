@@ -1,12 +1,19 @@
+//go:build go1.23
+
+// The build line lifts this file to Go 1.23 for iter.Pull (runtime
+// coroutines). go.mod stays at go 1.22 because raising it breaks the
+// nested simbench module, whose own go.mod would need updating.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulated thread of execution: a goroutine that the engine
+// Proc is a simulated thread of execution: a coroutine that the engine
 // resumes one at a time. Code running inside a proc may block in virtual
 // time with Sleep, Cond.Wait, Resource.Acquire and friends; while blocked,
 // other procs and events run. Methods on Proc must only be called from the
@@ -14,13 +21,15 @@ import (
 type Proc struct {
 	e    *Engine
 	name string
-	// handoff is the single rendezvous channel between the engine's event
-	// loop and the proc goroutine. Because exactly one side runs at a
-	// time, the control transfers strictly alternate — engine→proc
-	// (dispatch), proc→engine (park or exit) — so one unbuffered channel
-	// serves both directions, halving the channels allocated per proc and
-	// the sudog traffic of the old separate resume/yield pair.
-	handoff chan struct{}
+	// fn is the body the shell runs on its next pass (see loop).
+	fn func(p *Proc)
+	// next and stop drive the shell's coroutine (iter.Pull over loop);
+	// yield, saved by loop, switches back to the engine. The coroutine
+	// outlives its bodies. All three are nil while the shell has none:
+	// Run stops a free shell's (stopFree) and the next Spawn makes one.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// waiter is the proc's condition-variable wait record. A parked proc
 	// waits on at most one Cond at a time, so embedding the record here
 	// makes Cond.Wait allocation-free (see Cond.Wait for the lifetime
@@ -55,13 +64,13 @@ func (e *ProcError) Error() string {
 // Spawn creates a proc named name running fn, scheduled to start at the
 // current virtual time (after already-pending same-time events).
 //
-// Proc shells (the struct and its handoff channel) are recycled once a
-// proc's body returns, so fork-join workloads that spawn short-lived
-// worker procs per round do not allocate in steady state; only the
-// goroutine itself is started fresh. The returned *Proc is therefore
-// only meaningful until the body returns — callers must not retain it
-// past proc exit (no caller in this codebase does; procs interact with
-// their own *Proc argument).
+// Proc shells (the struct and its coroutine) are recycled once a proc's
+// body returns, so fork-join workloads that spawn short-lived worker procs
+// per round neither allocate nor start a goroutine in steady state: Spawn
+// only stores fn for the shell's coroutine, creating one if the shell has
+// none. The returned *Proc is therefore only meaningful until the
+// body returns — callers must not retain it past proc exit (no caller in
+// this codebase does; procs interact with their own *Proc argument).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
@@ -72,40 +81,64 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.done = false
 		p.daemon = false
 	} else {
-		p = &Proc{
-			e:       e,
-			name:    name,
-			handoff: make(chan struct{}),
-		}
+		p = &Proc{e: e, name: name}
 		p.waiter.p = p
 	}
+	p.fn = fn
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.loop)
+	}
 	e.live[p] = struct{}{}
-	go p.body(fn)
 	e.scheduleCall(e.now, fireDispatch, p)
 	return p
 }
 
-// body is the goroutine wrapper around the user function.
-func (p *Proc) body(fn func(p *Proc)) {
-	<-p.handoff
-	defer func() {
-		r := recover()
-		if r != nil {
-			if _, isExit := r.(procExit); !isExit {
-				p.e.fail(&ProcError{Proc: p.name, Value: r, Stack: string(debug.Stack())})
-			}
+// loop is the shell's coroutine body: each pass runs the pending body to
+// its end, then yields once so dispatch can recycle the shell. It returns
+// only when stop makes that yield report false.
+//
+//partib:hotpath
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.runBody()
+		if !yield(struct{}{}) {
+			return
 		}
-		p.done = true
-		delete(p.e.live, p)
-		p.handoff <- struct{}{}
-	}()
+	}
+}
+
+// runBody runs the pending body; endBody does the bookkeeping however the
+// body ends.
+func (p *Proc) runBody() {
+	defer p.endBody()
+	fn := p.fn
+	p.fn = nil
 	fn(p)
 }
 
-// dispatch hands control to the proc and blocks until it parks or exits.
-// It runs on the engine's event loop. The send wakes the proc (which is
-// blocked receiving in park or at startup); the receive completes when
-// the proc parks again or its body returns.
+// endBody marks the proc done and turns a panic that escaped the body
+// (other than Exit's) into the engine's ProcError.
+func (p *Proc) endBody() {
+	if r := recover(); r != nil {
+		p.panicked(r)
+	}
+	p.done = true
+	delete(p.e.live, p)
+}
+
+// panicked records a body's panic as the engine's failure. Off the
+// per-event budget: the run stops at the next step.
+//
+//partib:coldpath
+func (p *Proc) panicked(r any) {
+	if _, isExit := r.(procExit); !isExit {
+		p.e.fail(&ProcError{Proc: p.name, Value: r, Stack: string(debug.Stack())})
+	}
+}
+
+// dispatch switches to the proc's coroutine and returns when the proc
+// parks or its body ends. It runs on the engine's event loop.
 //partib:hotpath
 func (p *Proc) dispatch() {
 	if p.done {
@@ -113,24 +146,36 @@ func (p *Proc) dispatch() {
 	}
 	prev := p.e.running
 	p.e.running = p
-	p.handoff <- struct{}{}
-	<-p.handoff
+	p.next()
 	p.e.running = prev
 	if p.done {
-		// The goroutine's last act before exiting was the handoff send we
-		// just received; the shell is dead and safe to recycle. Every wake
-		// is guarded by a consumed-once flag (cond waiter done, timer seq),
-		// so no stale dispatch event can still reference this proc.
+		// The coroutine is parked at loop's yield after the body: the
+		// shell is dead and safe to recycle. Every wake is guarded by a
+		// consumed-once flag (cond waiter done, timer seq), so no stale
+		// dispatch event can still reference this proc.
 		p.e.procFree = append(p.e.procFree, p) //partlint:allow hotpathalloc amortized free-list growth
 	}
 }
 
 // park returns control to the engine until the proc is dispatched again.
+//
+//partib:hotpath
 func (p *Proc) park(reason string) {
 	p.parkReason = reason
-	p.handoff <- struct{}{}
-	<-p.handoff
+	p.yield(struct{}{})
 	p.parkReason = ""
+}
+
+// stopFree ends the coroutines of the engine's free shells, so an engine
+// dropped after Run leaves no parked goroutine behind. The shells stay on
+// the free list; Spawn gives a reused one a new coroutine.
+func (e *Engine) stopFree() {
+	for _, p := range e.procFree {
+		if p.stop != nil {
+			p.stop()
+			p.next, p.stop, p.yield = nil, nil, nil
+		}
+	}
 }
 
 // Name returns the proc's name.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -175,5 +176,118 @@ func TestManyProcsScale(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("completed %d procs, want %d", count, n)
+	}
+}
+
+// TestProcPanicOnRecycledShell checks that a panic in the second body run
+// by one shell (and one coroutine) still surfaces as a ProcError, and that
+// the shell goes back on the free list once.
+func TestProcPanicOnRecycledShell(t *testing.T) {
+	e := NewEngine()
+	first := e.Spawn("one", func(p *Proc) {})
+	var second *Proc
+	e.After(time.Microsecond, func() {
+		second = e.Spawn("two", func(p *Proc) { panic("boom") })
+	})
+	err := e.Run()
+	var pe *ProcError
+	if !errors.As(err, &pe) || pe.Proc != "two" || pe.Value != "boom" {
+		t.Fatalf("Run = %v, want ProcError from proc two", err)
+	}
+	if second != first {
+		t.Fatalf("second body did not run on the recycled shell (%p vs %p)", second, first)
+	}
+	if len(e.procFree) != 1 || e.procFree[0] != first {
+		t.Fatalf("procFree = %v, want the one shell once", e.procFree)
+	}
+}
+
+// TestProcExitOnRecycledShell checks that Exit in a recycled shell's body
+// ends only that body: the shell's next body runs normally.
+func TestProcExitOnRecycledShell(t *testing.T) {
+	e := NewEngine()
+	first := e.Spawn("one", func(p *Proc) {})
+	var trace []string
+	e.After(time.Microsecond, func() {
+		e.Spawn("exiter", func(p *Proc) {
+			trace = append(trace, "exiter")
+			p.Exit()
+			trace = append(trace, "after-exit") // unreachable
+		})
+	})
+	e.After(2*time.Microsecond, func() {
+		e.Spawn("three", func(p *Proc) {
+			if p != first {
+				t.Errorf("third body got %p, want the recycled shell %p", p, first)
+			}
+			p.Sleep(time.Microsecond)
+			trace = append(trace, "three")
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(trace, ",") != "exiter,three" {
+		t.Fatalf("trace = %v, want [exiter three]", trace)
+	}
+	if len(e.procFree) != 1 {
+		t.Fatalf("procFree holds %d shells, want 1", len(e.procFree))
+	}
+}
+
+// TestProcGoexitEndsRunCaller pins where runtime.Goexit in a body goes: the
+// body's coroutine passes it on to the goroutine that called Run, which
+// ends (running its defers) instead of hanging or returning.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	returned := false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		e := NewEngine()
+		e.Spawn("goexit", func(p *Proc) { runtime.Goexit() })
+		_ = e.Run()
+		returned = true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run caller hung after runtime.Goexit in a proc body")
+	}
+	if returned {
+		t.Fatal("Run returned after a proc body called runtime.Goexit")
+	}
+}
+
+// TestProcCoroutinesDoNotLeak checks that dropped engines leave no parked
+// goroutine behind: Engine.Run and ShardSet.Run stop the coroutines of
+// their free shells, so the goroutine count stays flat across many serial
+// and two-shard fork-join runs.
+func TestProcCoroutinesDoNotLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		e := NewEngine()
+		forkJoin(e, 3, 8)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		s := NewShardSet(2, time.Microsecond)
+		for _, e := range s.Engines() {
+			forkJoin(e, 3, 8)
+		}
+		if err := s.Run(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fleet's workers are joined before ShardSet.Run returns but may
+	// still be on their way out.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("goroutines grew from %d to %d across 250 runs", before, after)
 	}
 }

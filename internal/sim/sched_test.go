@@ -162,8 +162,10 @@ func TestSchedStatsTiers(t *testing.T) {
 	}
 }
 
-// TestProcShellRecycle checks that exited procs' shells are reused by
-// later Spawns and that reuse does not leak state between bodies.
+// TestProcShellRecycle checks the proc shell's lifetime: an exited proc's
+// shell (struct and coroutine) is reused by later Spawns without leaking
+// state between bodies; Run stops the coroutine of a free shell on return
+// and keeps the struct, and the next Spawn gives it a new coroutine.
 func TestProcShellRecycle(t *testing.T) {
 	e := NewEngine()
 	var first *Proc
@@ -179,6 +181,9 @@ func TestProcShellRecycle(t *testing.T) {
 	if len(e.procFree) != 1 {
 		t.Fatalf("procFree holds %d shells after exit, want 1", len(e.procFree))
 	}
+	if first.next != nil || first.stop != nil || first.yield != nil {
+		t.Fatal("Run returned with a free shell's coroutine still running")
+	}
 	second := e.Spawn("two", func(p *Proc) {
 		if p.Name() != "two" {
 			t.Errorf("recycled proc kept stale name %q", p.Name())
@@ -191,10 +196,16 @@ func TestProcShellRecycle(t *testing.T) {
 	if second != first {
 		t.Fatalf("Spawn did not reuse the recycled shell (%p vs %p)", second, first)
 	}
+	if second.next == nil {
+		t.Fatal("Spawn on a stopped shell did not create a coroutine")
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.procFree) != 1 {
 		t.Fatalf("procFree holds %d shells after second run, want 1", len(e.procFree))
+	}
+	if first.next != nil {
+		t.Fatal("second Run returned with the free shell's coroutine still running")
 	}
 }

@@ -797,11 +797,13 @@ func (s *ShardSet) participate(w *worker, last uint64) {
 // Run drives every shard to completion and returns the first error in
 // shard order (a proc panic) or an aggregated deadlock report. Workers is
 // the fleet size including the calling goroutine; 0 selects
-// min(shards, GOMAXPROCS).
+// min(shards, GOMAXPROCS). Like Engine.Run, it stops every shard's free
+// proc-shell coroutines on return.
 func (s *ShardSet) Run(workers int) error {
 	defer func() {
 		for _, e := range s.engines {
 			e.flushStats()
+			e.stopFree()
 		}
 	}()
 	if len(s.engines) == 1 {

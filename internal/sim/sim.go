@@ -124,8 +124,9 @@ type Engine struct {
 	live    map[*Proc]struct{}
 	running *Proc
 	err     error
-	// procFree recycles Proc shells (struct + handoff channel) of exited
-	// procs; each Spawn still starts a fresh goroutine. See Spawn.
+	// procFree recycles Proc shells (struct + coroutine) of exited procs,
+	// so a Spawn on a free shell starts no goroutine. Run stops the free
+	// shells' coroutines on return (stopFree); see Spawn.
 	procFree []*Proc
 
 	// shard links the engine to its ShardSet when it runs as one shard of
@@ -789,8 +790,10 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue drains or a proc fails. It returns
 // the first proc error (a propagated panic), a DeadlockError if non-daemon
-// procs remain parked with nothing to wake them, or nil.
+// procs remain parked with nothing to wake them, or nil. On return it
+// stops the coroutines of free proc shells; procs still parked keep theirs.
 func (e *Engine) Run() error {
+	defer e.stopFree()
 	defer e.flushStats()
 	for e.err == nil && e.Step() {
 	}
@@ -802,7 +805,8 @@ func (e *Engine) Run() error {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // It returns the same errors as Run, except that parked procs are not a
-// deadlock if events remain beyond t.
+// deadlock if events remain beyond t. Unlike Run it keeps free proc
+// shells' coroutines for the next Spawn.
 func (e *Engine) RunUntil(t Time) error {
 	defer e.flushStats()
 	for e.err == nil {
