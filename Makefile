@@ -59,12 +59,14 @@ test:
 # goroutines touch shared memory; core and the mpi harness ride under
 # them in parallel sweeps, so race-check all four on every PR — plus the
 # sim package, whose ShardSet runs engines on a spin/park worker fleet,
-# netgauge, whose gauges feed the loggp calibration consumed inside
-# those sweeps, and the bench differential tests that drive sharded
-# clusters end to end. The fabric line covers the multi-switch congestion
-# paths (incast on the shared down-link, link saturation, route spread).
+# the cluster package, whose sharded-vs-serial differentials run nodes on
+# that fleet, netgauge, whose gauges feed the loggp calibration consumed
+# inside those sweeps, and the bench differential tests that drive
+# sharded clusters end to end. The fabric line covers the multi-switch
+# congestion paths (incast on the shared down-link, link saturation,
+# route spread). CI runs this target, so the lists live only here.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
+	$(GO) test -race ./internal/sim/... ./internal/cluster/... ./internal/sweep/... ./internal/tuning/... ./internal/core/... ./internal/mpi/... ./internal/netgauge/...
 	$(GO) test -race -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 

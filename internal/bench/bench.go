@@ -181,6 +181,36 @@ func (c P2PConfig) laggardDelay() time.Duration {
 	return time.Duration(float64(c.Compute) * c.NoisePct / 100)
 }
 
+// newWorld builds the machine a benchmark runs on: clCfg with the shard
+// count and the topology spec (see fabric.ParseTopology; empty keeps
+// clCfg's fabric) applied, an MPI world of ranksPerNode ranks per node
+// over it (0 selects one), and one partitioned-communication engine per
+// rank on the named transport provider. Configuration errors, the
+// topology spec's included, come back as errors rather than panics.
+func newWorld(clCfg cluster.Config, ranksPerNode, shards int, topo, provider string) (*mpi.World, []*core.Engine, error) {
+	clCfg.Shards = shards
+	if topo != "" {
+		t, err := fabric.ParseTopology(topo)
+		if err != nil {
+			return nil, nil, err
+		}
+		clCfg.Fabric.Topo = t
+	}
+	if err := clCfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	w := mpi.NewWorld(mpi.Config{Cluster: clCfg, RanksPerNode: ranksPerNode})
+	engines := make([]*core.Engine, w.Size())
+	for i := range engines {
+		eng, err := core.NewEngine(w.Rank(i), provider)
+		if err != nil {
+			return nil, nil, err
+		}
+		engines[i] = eng
+	}
+	return w, engines, nil
+}
+
 // RunP2P executes the point-to-point benchmark and returns per-iteration
 // measurements.
 func RunP2P(cfg P2PConfig) (P2PResult, error) {
@@ -199,22 +229,9 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	if cfg.Cluster != nil {
 		clCfg = *cfg.Cluster
 	}
-	clCfg.Shards = cfg.Shards
-	if cfg.Topo != "" {
-		topo, err := fabric.ParseTopology(cfg.Topo)
-		if err != nil {
-			return P2PResult{}, err
-		}
-		clCfg.Fabric.Topo = topo
-	}
-	w := mpi.NewWorld(mpi.Config{Cluster: clCfg, RanksPerNode: ranksPerNode})
-	engines := make([]*core.Engine, 2)
-	for i := range engines {
-		eng, err := core.NewEngine(w.Rank(i), cfg.Provider)
-		if err != nil {
-			return P2PResult{}, err
-		}
-		engines[i] = eng
+	w, engines, err := newWorld(clCfg, ranksPerNode, cfg.Shards, cfg.Topo, cfg.Provider)
+	if err != nil {
+		return P2PResult{}, err
 	}
 
 	rec := profiler.New(cfg.Parts)
@@ -245,7 +262,7 @@ func RunP2P(cfg P2PConfig) (P2PResult, error) {
 	sendBuf := make([]byte, cfg.Bytes)
 	recvBuf := make([]byte, cfg.Bytes)
 
-	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			ps, err := engines[0].PsendInit(p, sendBuf, cfg.Parts, 1, 0, opts)

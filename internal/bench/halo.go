@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -130,22 +129,9 @@ func RunHalo(cfg HaloConfig) (HaloResult, error) {
 	nodes := cfg.GridX * cfg.GridY
 	clCfg := cluster.NiagaraConfig(nodes)
 	clCfg.CoresPerNode = cfg.CoresPerNode
-	clCfg.Shards = cfg.Shards
-	if cfg.Topo != "" {
-		topo, err := fabric.ParseTopology(cfg.Topo)
-		if err != nil {
-			return HaloResult{}, err
-		}
-		clCfg.Fabric.Topo = topo
-	}
-	w := mpi.NewWorld(mpi.Config{Cluster: clCfg})
-	engines := make([]*core.Engine, nodes)
-	for i := 0; i < nodes; i++ {
-		eng, err := core.NewEngine(w.Rank(i), cfg.Provider)
-		if err != nil {
-			return HaloResult{}, err
-		}
-		engines[i] = eng
+	w, engines, err := newWorld(clCfg, 0, cfg.Shards, cfg.Topo, cfg.Provider)
+	if err != nil {
+		return HaloResult{}, err
 	}
 	rankOf := func(x, y int) int {
 		x = (x + cfg.GridX) % cfg.GridX
@@ -167,7 +153,7 @@ func RunHalo(cfg HaloConfig) (HaloResult, error) {
 	adaptive := make([]*core.AdaptiveStats, nodes)
 	laggard := cfg.Threads - 1
 
-	err := w.Run(func(p *sim.Proc, r *mpi.Rank) {
+	err = w.Run(func(p *sim.Proc, r *mpi.Rank) {
 		id := r.ID()
 		x, y := id%cfg.GridX, id/cfg.GridX
 		eng := engines[id]

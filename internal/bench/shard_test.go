@@ -226,8 +226,9 @@ func TestShardedSingleLinkTopoMatchesDefault(t *testing.T) {
 // TestShardedSweepWindowCeiling is the skip-ahead regression gate: a small
 // Sweep3D wavefront at two shards must reproduce the serial per-iteration
 // times and finish in at most 40 fleet dispatch windows. Skip-ahead
-// currently needs 5; a fixed-λ window march pays one window per hop (276
-// here), so the ceiling leaves headroom without admitting that regression.
+// currently needs 5; the retired fixed-λ window march paid one window per
+// hop (276 here), so the ceiling leaves headroom without admitting a
+// regression toward it.
 func TestShardedSweepWindowCeiling(t *testing.T) {
 	const windowCeiling = 40
 	base := SweepConfig{

@@ -82,14 +82,11 @@ func (c Config) Validate() error {
 		// constraint.
 		topo := c.Fabric.Topology()
 		if topo.Flat() {
-			maxExtra := c.Fabric.InterRackExtra
-			if c.Fabric.Topo != nil {
-				maxExtra = 0
-				for a := 0; a < c.Nodes; a++ {
-					for b := a + 1; b < c.Nodes; b++ {
-						if x := topo.PairExtra(a, b); x > maxExtra {
-							maxExtra = x
-						}
+			var maxExtra time.Duration
+			for a := 0; a < c.Nodes; a++ {
+				for b := a + 1; b < c.Nodes; b++ {
+					if x := topo.PairExtra(a, b); x > maxExtra {
+						maxExtra = x
 					}
 				}
 			}

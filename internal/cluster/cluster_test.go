@@ -148,14 +148,14 @@ func TestNegativeQuantumRejected(t *testing.T) {
 // TestShardLookaheadMatrixRackTopology pins the shard-pair lookahead
 // derivation from the rack topology: shard pairs whose contiguous node
 // slabs cover disjoint rack ranges interact only across racks and widen
-// by InterRackExtra; pairs sharing a rack keep the global floor; and a
-// flat fabric derives no matrix at all.
+// by the cross-rack extra; pairs sharing a rack keep the global floor;
+// and a single-link fabric keeps the floor everywhere.
 func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	cfg := NiagaraConfig(8)
 	cfg.Shards = 4
 	la := cfg.Fabric.Lookahead()
 
-	// Flat fabric: no matrix, scalar floor everywhere.
+	// Single-link fabric: the uniform matrix, scalar floor everywhere.
 	c := New(cfg)
 	set := c.ShardSet()
 	if set == nil {
@@ -168,8 +168,7 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	// Two nodes per rack, one rack per shard: every shard pair is
 	// rack-disjoint and widens.
 	extra := 750 * time.Nanosecond
-	cfg.Fabric.RackSize = 2
-	cfg.Fabric.InterRackExtra = extra
+	cfg.Fabric.Topo = fabric.TwoLevel(2, extra)
 	set = New(cfg).ShardSet()
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
@@ -186,7 +185,7 @@ func TestShardLookaheadMatrixRackTopology(t *testing.T) {
 	// Racks of 3 straddle shard boundaries: shards 0 (nodes 0-1, rack 0)
 	// and 1 (nodes 2-3, racks 0-1) overlap in rack 0 and keep the floor,
 	// while shards 0 and 3 (nodes 6-7, rack 2) are disjoint and widen.
-	cfg.Fabric.RackSize = 3
+	cfg.Fabric.Topo = fabric.TwoLevel(3, extra)
 	set = New(cfg).ShardSet()
 	if got := set.PairLookahead(0, 1); got != la {
 		t.Errorf("overlapping racks λ[0][1] = %v, want floor %v", got, la)
@@ -204,8 +203,7 @@ func TestRackTopologyShardedMatchesSerial(t *testing.T) {
 	run := func(shards int) []sim.Time {
 		cfg := NiagaraConfig(8)
 		cfg.CoresPerNode = 2
-		cfg.Fabric.RackSize = 2
-		cfg.Fabric.InterRackExtra = 750 * time.Nanosecond
+		cfg.Fabric.Topo = fabric.TwoLevel(2, 750*time.Nanosecond)
 		cfg.Shards = shards
 		c := New(cfg)
 		ends := make([]sim.Time, cfg.Nodes)

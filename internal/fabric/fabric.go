@@ -69,29 +69,11 @@ type Config struct {
 	MsgGap time.Duration
 	// CtrlLatency is the control-plane one-way latency.
 	CtrlLatency time.Duration
-	// RackSize groups ports into racks of this many consecutive IDs
-	// (ports are created in node order, so contiguous IDs are physical
-	// neighbours). 0 disables rack topology: every port shares one rack
-	// and all pair latencies equal the base latencies.
-	RackSize int
-	// InterRackExtra is the additional one-way propagation latency
-	// charged on every port-to-port interaction (wire, ack, control)
-	// whose endpoints sit in different racks — the longer path through
-	// the aggregation level of the switch hierarchy. Zero keeps the
-	// fabric a flat single-switch network, byte-identical to the model
-	// before racks existed.
-	//
-	// Deprecated: RackSize/InterRackExtra are a shim over Topo — they
-	// build the equivalent flat two-level Topology internally. New code
-	// should set Topo (TwoLevel gives the identical model). Setting both
-	// is a Validate error.
-	InterRackExtra time.Duration
 	// Topo selects the interconnect topology. nil means the single
-	// shared link the fabric always modelled (or, when the legacy rack
-	// fields are set, the equivalent two-level topology). Flat
-	// topologies only reshape pair latencies; graph topologies
-	// (fat-tree, dragonfly) add per-link serialization cursors so
-	// routed flows genuinely contend. See topology.go.
+	// shared link the fabric always modelled. Flat topologies
+	// (single-link, two-level racks) only reshape pair latencies; graph
+	// topologies (fat-tree, dragonfly) add per-link serialization cursors
+	// so routed flows genuinely contend. See topology.go.
 	Topo *Topology
 }
 
@@ -133,14 +115,6 @@ func (c Config) Validate() error {
 	case c.WireLatency < 0 || c.AckLatency < 0 || c.WRProcess < 0 ||
 		c.InlineWRProcess < 0 || c.MsgGap < 0 || c.CtrlLatency < 0:
 		return fmt.Errorf("fabric: negative latency parameter")
-	case c.RackSize < 0:
-		return fmt.Errorf("fabric: negative RackSize")
-	case c.InterRackExtra < 0:
-		return fmt.Errorf("fabric: negative InterRackExtra")
-	case c.InterRackExtra > 0 && c.RackSize == 0:
-		return fmt.Errorf("fabric: InterRackExtra %v needs RackSize > 0", c.InterRackExtra)
-	case c.Topo != nil && (c.RackSize > 0 || c.InterRackExtra > 0):
-		return fmt.Errorf("fabric: Topo %q and legacy RackSize/InterRackExtra are mutually exclusive (the rack fields are a two-level topology shim; set one or the other)", c.Topo.Name())
 	}
 	return c.Topo.validate()
 }
@@ -156,8 +130,8 @@ func (c Config) LinkBandwidth() float64 { return 1e9 / c.LinkByteTime }
 // sharding the simulation along port boundaries (sim.ShardSet). With a
 // multi-hop topology it additionally includes the smallest link latency,
 // since routed bursts also hop between link cursors; with a flat topology
-// (or the legacy rack fields) it is unchanged from the single-link model.
-// PairLookahead gives the wider per-pair bound.
+// it is unchanged from the single-link model. PairLookahead gives the
+// wider per-pair bound.
 func (c Config) Lookahead() time.Duration {
 	l := c.WireLatency
 	if c.AckLatency < l {
@@ -174,17 +148,12 @@ func (c Config) Lookahead() time.Duration {
 	return l
 }
 
-// Topology resolves the configured topology: Topo when set, the flat
-// two-level shim when the legacy rack fields are set, the single shared
-// link otherwise. The returned copy is stamped with the config's wire
-// latency so PairLatency is complete.
+// Topology resolves the configured topology: Topo when set, the single
+// shared link otherwise. The returned copy is stamped with the config's
+// wire latency so PairLatency is complete.
 func (c Config) Topology() *Topology {
 	t := c.Topo
-	switch {
-	case t != nil:
-	case c.RackSize > 0:
-		t = TwoLevel(c.RackSize, c.InterRackExtra)
-	default:
+	if t == nil {
 		t = SingleLink()
 	}
 	r := *t
@@ -193,11 +162,12 @@ func (c Config) Topology() *Topology {
 }
 
 // PairLookahead returns the smallest interaction latency between two
-// specific ports: the global floor plus the pair's topology extra
-// (inter-rack extra in the legacy model, shortest-path link latencies in
-// a graph topology). Every effect the fabric schedules from port a onto
-// port b's engine is at least this far in the future, so it is a sound
-// per-pair conservative-PDES lookahead (sim.ShardSet.SetLookaheadMatrix).
+// specific ports: the global floor plus the pair's topology extra (the
+// cross-rack extra in a two-level topology, shortest-path link latencies
+// in a graph topology). Every effect the fabric schedules from port a
+// onto port b's engine is at least this far in the future, so it is a
+// sound per-pair conservative-PDES lookahead
+// (sim.ShardSet.SetLookaheadMatrix).
 func (c Config) PairLookahead(a, b int) time.Duration {
 	return c.Lookahead() + c.Topology().PairExtra(a, b)
 }
@@ -336,8 +306,9 @@ func (f *Fabric) NewPortOn(e *sim.Engine, name string) *Port {
 func (p *Port) Name() string { return p.name }
 
 // ID returns the port's fabric-wide index (creation order). Ports are
-// created in node order, so the ID doubles as the topology coordinate the
-// rack model (Config.RackSize) partitions.
+// created in node order, so the ID doubles as the topology coordinate
+// every topology (two-level racks, fat-tree edges, dragonfly groups)
+// partitions.
 func (p *Port) ID() int { return p.id }
 
 // Engine returns the engine (shard) that owns the port.

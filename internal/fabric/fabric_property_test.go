@@ -120,23 +120,21 @@ func TestBandwidthNeverExceedsLink(t *testing.T) {
 	}
 }
 
-// TestPairLookaheadFloorProperty: for every valid generated topology —
-// random rack size, inter-rack extra, and perturbed base latencies — the
-// per-pair lookahead of any port pair is at least the global floor,
-// symmetric, and exactly the floor within a rack. The shard runtime
-// depends on this invariant: SetLookaheadMatrix rejects entries below the
-// floor, and windows widened per pair are only sound if every pair bound
-// really dominates the scalar one.
+// TestPairLookaheadFloorProperty: for every valid generated two-level
+// topology — random rack size, cross-rack extra, and perturbed base
+// latencies — the per-pair lookahead of any port pair is at least the
+// global floor, symmetric, and exactly the floor within a rack. The
+// shard runtime depends on this invariant: SetLookaheadMatrix rejects
+// entries below the floor, and windows widened per pair are only sound
+// if every pair bound really dominates the scalar one.
 func TestPairLookaheadFloorProperty(t *testing.T) {
 	f := func(rackRaw uint8, extraRaw uint16, wireRaw, ackRaw, ctrlRaw uint16, aRaw, bRaw uint8) bool {
 		cfg := DefaultConfig()
-		cfg.RackSize = int(rackRaw % 9) // 0 (flat) .. 8
+		rack := int(rackRaw % 9) // 0 (one rack) .. 8
+		cfg.Topo = TwoLevel(rack, time.Duration(extraRaw%3000)*time.Nanosecond)
 		cfg.WireLatency = time.Duration(wireRaw%5000+1) * time.Nanosecond
 		cfg.AckLatency = time.Duration(ackRaw%5000+1) * time.Nanosecond
 		cfg.CtrlLatency = time.Duration(ctrlRaw%5000+1) * time.Nanosecond
-		if cfg.RackSize > 0 {
-			cfg.InterRackExtra = time.Duration(extraRaw%3000) * time.Nanosecond
-		}
 		if err := cfg.Validate(); err != nil {
 			// Only valid topologies make claims.
 			return true
@@ -150,7 +148,7 @@ func TestPairLookaheadFloorProperty(t *testing.T) {
 		if pair != cfg.PairLookahead(b, a) {
 			return false
 		}
-		if cfg.RackSize > 0 && a/cfg.RackSize == b/cfg.RackSize && pair != floor {
+		if rack > 0 && a/rack == b/rack && pair != floor {
 			return false
 		}
 		return true

@@ -6,8 +6,8 @@
 //     extra propagation latency on top of Config.WireLatency. The
 //     single-link topology (extra == 0 everywhere) reproduces the
 //     original one-switch fabric byte for byte, and the two-level
-//     topology reproduces the legacy RackSize/InterRackExtra model byte
-//     for byte — both are latency shapes, not contention models.
+//     topology adds a fixed extra to every cross-rack pair — both are
+//     latency shapes, not contention models.
 //
 //   - Graph topologies (fat-tree, dragonfly) materialize switches and
 //     links. Every switch-to-switch link and every switch-to-host down
@@ -72,6 +72,9 @@ type Topology struct {
 	// route (graph mode) or the configured pair extra (flat mode). It
 	// must be symmetric and must match the sum of route link latencies.
 	extraFn func(a, b int) time.Duration
+	// rackExtra is the two-level cross-rack extra, kept so validate can
+	// reject a negative one.
+	rackExtra time.Duration
 
 	// Graph mode.
 	links    []Link
@@ -139,8 +142,8 @@ func (t *Topology) MinLinkLatency() time.Duration {
 }
 
 // PairExtra returns the extra one-way latency between two hosts beyond
-// Config.WireLatency: zero in the single-link topology, the inter-rack
-// extra in the two-level shim, and the sum of route link latencies in
+// Config.WireLatency: zero in the single-link topology, the cross-rack
+// extra in the two-level topology, and the sum of route link latencies in
 // graph topologies. It is symmetric, and identical across every
 // equal-cost route candidate by construction.
 func (t *Topology) PairExtra(a, b int) time.Duration {
@@ -197,14 +200,31 @@ func (t *Topology) RelayPairs(fn func(in, out Link)) {
 	}
 }
 
-// validate reports construction errors. Graph links must have positive
-// latency (cross-engine hops need a positive conservative bound) and
+// maxTopoLatency bounds every topology latency (a two-level extra, a
+// graph link) so sums along routes and lookahead paths stay far from
+// Duration overflow.
+const maxTopoLatency = time.Second
+
+// maxTopoLinks bounds a graph generator's link count, so an oversized
+// spec (fat-tree:k=100000) fails with an error instead of exhausting
+// memory. It admits fat-trees up to k=294 and dragonflies up to ~360
+// groups.
+const maxTopoLinks = 1 << 17
+
+// validate reports construction errors. A two-level extra must lie in
+// [0, maxTopoLatency]: a negative one would make cross-rack traffic
+// faster than in-rack traffic and break the per-pair lookahead floor.
+// Graph links must have positive latency (cross-engine hops need a
+// positive conservative bound) no larger than maxTopoLatency, and
 // non-negative byte time.
 func (t *Topology) validate() error {
 	if t == nil {
 		return nil
 	}
 	if t.flat {
+		if t.rackExtra < 0 || t.rackExtra > maxTopoLatency {
+			return fmt.Errorf("fabric: topology %q extra %v out of range [0, %v]", t.name, t.rackExtra, maxTopoLatency)
+		}
 		return nil
 	}
 	if t.hosts < 1 {
@@ -212,8 +232,8 @@ func (t *Topology) validate() error {
 	}
 	for i := range t.links {
 		l := &t.links[i]
-		if l.Latency <= 0 {
-			return fmt.Errorf("fabric: topology %q link %q needs positive latency", t.name, l.Name)
+		if l.Latency <= 0 || l.Latency > maxTopoLatency {
+			return fmt.Errorf("fabric: topology %q link %q latency %v out of range (0, %v]", t.name, l.Name, l.Latency, maxTopoLatency)
 		}
 		if l.ByteTime < 0 {
 			return fmt.Errorf("fabric: topology %q link %q has negative byte time", t.name, l.Name)
@@ -252,27 +272,29 @@ func SingleLink() *Topology {
 	return &Topology{name: "single-link", flat: true}
 }
 
-// TwoLevel returns the flat two-level topology the legacy
-// Config.RackSize/InterRackExtra fields construct internally: hosts in
-// racks of rackSize consecutive IDs, with extra added to every
-// cross-rack interaction. It is a latency shape only — cross-rack flows
-// do not contend on an aggregation cursor — which is exactly the legacy
-// model, byte for byte.
+// TwoLevel returns the flat two-level rack topology: hosts in racks of
+// rackSize consecutive IDs (ports are created in node order, so
+// contiguous IDs are physical neighbours), with extra added to every
+// cross-rack interaction (wire, ack, control) — the longer path through
+// the aggregation level of the switch hierarchy. It is a latency shape
+// only: cross-rack flows do not contend on an aggregation cursor. A
+// rackSize of zero or less puts every host in one rack. A negative extra
+// fails validation.
 func TwoLevel(rackSize int, extra time.Duration) *Topology {
-	name := fmt.Sprintf("two-level:rack=%d,extra=%s", rackSize, extra)
-	if rackSize <= 0 {
-		return &Topology{name: name, flat: true}
+	t := &Topology{
+		name:      fmt.Sprintf("two-level:rack=%d,extra=%s", rackSize, extra),
+		flat:      true,
+		rackExtra: extra,
 	}
-	return &Topology{
-		name: name,
-		flat: true,
-		extraFn: func(a, b int) time.Duration {
+	if rackSize > 0 {
+		t.extraFn = func(a, b int) time.Duration {
 			if a/rackSize == b/rackSize {
 				return 0
 			}
 			return extra
-		},
+		}
 	}
+	return t
 }
 
 // FatTreeConfig parameterizes NewFatTree.
@@ -297,6 +319,9 @@ type FatTreeConfig struct {
 func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 	if cfg.K < 2 || cfg.K%2 != 0 {
 		return nil, fmt.Errorf("fabric: fat-tree K %d must be even and >= 2", cfg.K)
+	}
+	if cfg.K > maxTopoLinks || 3*cfg.K*cfg.K/2 > maxTopoLinks {
+		return nil, fmt.Errorf("fabric: fat-tree K %d exceeds the %d-link limit", cfg.K, maxTopoLinks)
 	}
 	if cfg.Cable == 0 {
 		cfg.Cable = 500 * time.Nanosecond
@@ -429,6 +454,10 @@ func NewDragonfly(cfg DragonflyConfig) (*Topology, error) {
 			cfg.Global, cfg.Cable)
 	}
 	g, a, hp := cfg.Groups, cfg.Routers, cfg.HostsPer
+	if g > maxTopoLinks || a > maxTopoLinks || hp > maxTopoLinks ||
+		g*a*(a-1)+g*(g-1)+g*a*hp > maxTopoLinks {
+		return nil, fmt.Errorf("fabric: dragonfly g=%d a=%d h=%d exceeds the %d-link limit", g, a, hp, maxTopoLinks)
+	}
 	hosts := g * a * hp
 	routers := g * a
 	t := &Topology{
@@ -569,7 +598,9 @@ func minDuration(a, b time.Duration) time.Duration {
 //
 // Durations use Go syntax (500ns, 1us, 1.5ms); G is the per-byte link
 // cost in ns/B (0 inherits the fabric's LinkByteTime). An empty spec
-// selects single-link.
+// selects single-link. Every topology it returns passes validation: a
+// negative two-level extra, a latency above maxTopoLatency, or a graph
+// above maxTopoLinks is an error.
 func ParseTopology(spec string) (*Topology, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	kv := map[string]string{}
@@ -629,6 +660,9 @@ func ParseTopology(spec string) (*Topology, error) {
 			}
 			sort.Strings(keys)
 			return nil, fmt.Errorf("fabric: topology spec %q: unknown key %q", spec, keys[0])
+		}
+		if err := t.validate(); err != nil {
+			return nil, err
 		}
 		return t, nil
 	}

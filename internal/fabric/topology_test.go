@@ -41,6 +41,9 @@ func TestParseTopology(t *testing.T) {
 		"dragonfly:groups=1",    // single group
 		"fat-tree:k=4,cable=5",  // missing duration unit
 		"dragonfly:groups=3,routers=2,hosts=1,global=100ns", // < 2*cable
+		"two-level:rack=2,extra=-500ns",                     // cross-rack faster than in-rack
+		"fat-tree:k=1000",                                   // beyond the link limit
+		"fat-tree:k=4,cable=2h",                             // beyond the latency limit
 	}
 	for _, spec := range bad {
 		if _, err := ParseTopology(spec); err == nil {
@@ -49,17 +52,19 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsToposWithLegacyRackFields(t *testing.T) {
+// TestValidateRejectsNegativeRackExtra: a two-level topology whose
+// cross-rack extra is negative would make cross-rack traffic faster than
+// in-rack traffic and push pair lookaheads below the global floor, which
+// the shard runtime rejects with a panic. Validate must catch it first.
+func TestValidateRejectsNegativeRackExtra(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Topo = SingleLink()
-	cfg.RackSize = 4
+	cfg.Topo = TwoLevel(2, -500*time.Nanosecond)
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("Topo + RackSize accepted")
+		t.Fatal("negative two-level extra accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.Topo = SingleLink()
+	cfg.Topo = TwoLevel(2, 0)
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Topo alone rejected: %v", err)
+		t.Fatalf("zero two-level extra rejected: %v", err)
 	}
 }
 
@@ -108,26 +113,6 @@ func TestSingleLinkTopologyByteIdentical(t *testing.T) {
 	for i := range base {
 		if base[i] != withTopo[i] {
 			t.Fatalf("timestamp %d differs: %v vs %v", i, base[i], withTopo[i])
-		}
-	}
-}
-
-// TestTwoLevelShimMatchesLegacyRackFields pins the deprecation shim: the
-// legacy RackSize/InterRackExtra fields and an explicit TwoLevel topology
-// must be byte-identical.
-func TestTwoLevelShimMatchesLegacyRackFields(t *testing.T) {
-	legacy := DefaultConfig()
-	legacy.RackSize = 2
-	legacy.InterRackExtra = 750 * time.Nanosecond
-	viaTopo := DefaultConfig()
-	viaTopo.Topo = TwoLevel(2, 750*time.Nanosecond)
-	a, b := runPattern(t, legacy), runPattern(t, viaTopo)
-	if len(a) != len(b) {
-		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("timestamp %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 //
 // The protocol (DESIGN.md §11) in one paragraph: execution proceeds in
 // hops. Within a hop every shard runs its events up to a per-destination
-// window bound endOf[d], publishing its next-event time as it finishes
-// (plain per-shard slot plus a CAS atomic-min for the global Tmin). The
-// last shard to finish performs the hop transition in place — no separate
-// coordinator thread, no serial scan-and-drain section: it folds the
+// window bound endOf[d], publishing its next-event time in a plain
+// per-shard slot as it finishes. The last shard to finish performs the
+// hop transition in place — no separate coordinator thread, no serial
+// scan-and-drain section: it folds the
 // published next-event times with the undrained mailbox minima into
 // per-shard seeds, runs a min-plus fixpoint over the lookahead matrix to
 // produce the next endOf bounds, seals the dispatched destinations'
@@ -121,21 +121,15 @@ const spinRounds = 256
 // member engines, then call Run.
 type ShardSet struct {
 	engines []*Engine
-	// lambda is the global lookahead floor; lam, when non-nil, is the
-	// per-pair lookahead matrix (lam[src][dst] ≥ lambda) and dist its
-	// min-plus all-pairs closure. inMin[d] is the minimum incoming
-	// lookahead of shard d — the dynamic self-cap increment.
+	// lambda is the global lookahead floor; lam is the per-pair
+	// lookahead matrix (lam[src][dst] ≥ lambda, uniform λ until
+	// SetLookaheadMatrix widens it) and dist its min-plus all-pairs
+	// closure. inMin[d] is the minimum incoming lookahead of shard d — the
+	// dynamic self-cap increment.
 	lambda time.Duration
 	lam    [][]time.Duration
 	dist   [][]time.Duration
 	inMin  []time.Duration
-
-	// skipAhead enables Tmin hops, per-destination bounds, and the dynamic
-	// self-cap. When false the runtime degrades to the λ-march reference
-	// mode: every hop is a global [Tmin, Tmin+λ) window and counts as a
-	// dispatch window, reproducing the PR 6 window sequence for
-	// differential tests and the batched-vs-unbatched guard.
-	skipAhead bool
 
 	// mail[src][dst] holds posts from shard src to shard dst.
 	mail [][]mailbox
@@ -164,12 +158,6 @@ type ShardSet struct {
 	//
 	//partib:atomic
 	nclaims atomic.Int64
-
-	// tmin is the lock-free global next-event reduction: workers CAS their
-	// shard's published next-event time into it as they finish a hop.
-	//
-	//partib:atomic
-	tmin atomic.Int64
 
 	// hop increments at every hop release; participants wait on it. claim
 	// hands out engaged-slot indexes within a hop via bounded CAS (never
@@ -210,7 +198,7 @@ func NewShardSet(n int, lambda time.Duration) *ShardSet {
 	if n > 1 && lambda <= 0 {
 		panic("sim: ShardSet with more than one shard needs positive lookahead")
 	}
-	s := &ShardSet{lambda: lambda, skipAhead: true}
+	s := &ShardSet{lambda: lambda}
 	s.engines = make([]*Engine, n)
 	s.mail = make([][]mailbox, n)
 	for i := range s.engines {
@@ -227,10 +215,15 @@ func NewShardSet(n int, lambda time.Duration) *ShardSet {
 	s.nextSlot = make([]Time, n)
 	s.engaged = make([]int, 0, n)
 	s.inMin = make([]time.Duration, n)
-	for i := range s.inMin {
-		s.inMin[i] = lambda
-	}
 	s.coordinator.wake = make(chan struct{}, 1)
+	uniform := make([][]time.Duration, n)
+	for i := range uniform {
+		uniform[i] = make([]time.Duration, n)
+		for j := range uniform[i] {
+			uniform[i][j] = lambda
+		}
+	}
+	s.SetLookaheadMatrix(uniform)
 	return s
 }
 
@@ -298,13 +291,6 @@ func (s *ShardSet) SetLookaheadMatrix(lam [][]time.Duration) {
 	}
 }
 
-// SetSkipAhead toggles skip-ahead Tmin hops (on by default). Off selects
-// the λ-march reference mode: uniform [Tmin, Tmin+λ) windows advanced one
-// global lookahead at a time, exactly the PR 6 protocol. The two modes are
-// byte-identical in simulation results; march exists as the differential
-// baseline and the batched-vs-unbatched guard's comparison point.
-func (s *ShardSet) SetSkipAhead(on bool) { s.skipAhead = on }
-
 // Engines returns the member engines in shard order.
 func (s *ShardSet) Engines() []*Engine { return s.engines }
 
@@ -318,12 +304,10 @@ func (s *ShardSet) Shards() int { return len(s.engines) }
 func (s *ShardSet) Lookahead() time.Duration { return s.lambda }
 
 // PairLookahead returns the effective lookahead from shard src to shard
-// dst: the matrix entry when one is installed, the scalar floor otherwise.
+// dst: the matrix entry, which is the scalar floor unless
+// SetLookaheadMatrix widened it.
 func (s *ShardSet) PairLookahead(src, dst int) time.Duration {
-	if s.lam != nil {
-		return s.lam[src][dst]
-	}
-	return s.lambda
+	return s.lam[src][dst]
 }
 
 // ShardStats describes one completed run of the set.
@@ -331,8 +315,7 @@ type ShardStats struct {
 	// Windows counts fleet dispatch windows: hops in which two or more
 	// shards could fire, so the worker fleet was engaged. Hops with a
 	// single engaged shard run inline on the transition thread and are
-	// not counted here. In λ-march mode every shard runs every hop, so
-	// every hop is a window — the PR 6 accounting.
+	// not counted here.
 	Windows uint64
 	// TminHops counts every synchronization hop, dispatched or inline —
 	// the true number of times the runtime had to agree on new window
@@ -396,11 +379,9 @@ func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 		mb.minAt = at
 	}
 	mb.sent++
-	if s.skipAhead {
-		e := s.engines[src]
-		if cap := at.Add(s.inMin[src]); cap < e.winEnd {
-			e.winEnd = cap
-		}
+	e := s.engines[src]
+	if cap := at.Add(s.inMin[src]); cap < e.winEnd {
+		e.winEnd = cap
 	}
 }
 
@@ -494,20 +475,6 @@ func (s *ShardSet) drain() bool {
 	}
 }
 
-// atomicMinTime folds at into the shared minimum via a CAS loop.
-//partib:hotpath
-func atomicMinTime(m *atomic.Int64, at Time) {
-	for {
-		cur := m.Load()
-		if int64(at) >= cur {
-			return
-		}
-		if m.CompareAndSwap(cur, int64(at)) {
-			return
-		}
-	}
-}
-
 // runShard executes shard i's slice of the current hop: drain the shard's
 // incoming mailboxes, run its window, publish its next-event time, and —
 // when it is the last engaged shard to finish — perform the hop
@@ -524,9 +491,6 @@ func (s *ShardSet) runShard(i int) {
 		at = nxt
 	}
 	s.nextSlot[i] = at
-	if at != timeInf {
-		atomicMinTime(&s.tmin, at)
-	}
 	if s.finished.Add(1) == s.nclaims.Load() {
 		s.transition(true)
 	}
@@ -575,42 +539,20 @@ func (s *ShardSet) computeSeeds() (active int) {
 }
 
 // computeBounds derives the next per-destination window bounds from the
-// seeds. Skip-ahead mode: endOf[d] = min over s ≠ d of seed[s] +
-// dist[s][d] (reaction chains seeded by any other shard's earliest future
-// firing, relayed along lookahead shortest paths); a shard's own future
-// emissions are excluded here and covered at run time by the dynamic
-// self-cap in post. March mode: the uniform global window [Tmin, Tmin+λ).
+// seeds: endOf[d] = min over s ≠ d of seed[s] + dist[s][d] (reaction
+// chains seeded by any other shard's earliest future firing, relayed along
+// lookahead shortest paths). A shard's own future emissions are excluded
+// here and covered at run time by the dynamic self-cap in post.
 //partib:role transition
 func (s *ShardSet) computeBounds() {
 	n := len(s.engines)
-	if !s.skipAhead {
-		tmin := Time(s.tmin.Load())
-		for i := range s.engines {
-			for src := range s.engines {
-				if m := s.mail[src][i].minAt; m < tmin {
-					tmin = m
-				}
-			}
-		}
-		end := tmin.Add(s.lambda)
-		for d := 0; d < n; d++ {
-			s.endOf[d] = end
-		}
-		return
-	}
 	for d := 0; d < n; d++ {
 		end := timeInf
 		for src := 0; src < n; src++ {
 			if src == d || s.seeds[src] == timeInf {
 				continue
 			}
-			var hop Time
-			if s.dist != nil {
-				hop = s.seeds[src].Add(s.dist[src][d])
-			} else {
-				hop = s.seeds[src].Add(s.lambda)
-			}
-			if hop < end {
+			if hop := s.seeds[src].Add(s.dist[src][d]); hop < end {
 				end = hop
 			}
 		}
@@ -656,30 +598,22 @@ func (s *ShardSet) transition(afterHop bool) {
 		s.tminHops++
 		// Engaged shards are the ones whose seed lies inside their bound:
 		// exactly the shards that will fire this hop. The others would run
-		// an empty window — in skip-ahead mode they are not dispatched at
-		// all (their published state stays valid), and a hop with a single
-		// engaged shard runs inline on this thread with the fleet parked.
-		// There is always at least one engaged shard: the globally
-		// earliest seed is strictly below its own bound, which is derived
-		// from the other shards' (later or equal) seeds plus positive
-		// lookahead.
+		// an empty window, so they are not dispatched at all (their
+		// published state stays valid), and a hop with a single engaged
+		// shard runs inline on this thread with the fleet parked. There is
+		// always at least one engaged shard: the globally earliest seed is
+		// strictly below its own bound, which is derived from the other
+		// shards' (later or equal) seeds plus positive lookahead.
 		s.engaged = s.engaged[:0]
-		eligible := 0
 		for i := range s.engines {
-			canFire := s.seeds[i] < s.endOf[i]
-			if canFire {
-				eligible++
-			}
-			// March mode dispatches every shard every hop (the PR 6
-			// protocol); skip-ahead dispatches only the engaged ones.
-			if canFire || !s.skipAhead {
+			if s.seeds[i] < s.endOf[i] {
 				s.engaged = append(s.engaged, i)
 			}
 		}
-		if eligible < active {
+		if len(s.engaged) < active {
 			s.stalls++
 		}
-		if s.skipAhead && len(s.engaged) == 1 {
+		if len(s.engaged) == 1 {
 			s.seal(s.engaged[0])
 			s.runSolo(s.engaged[0])
 			if s.err != nil {
@@ -714,11 +648,11 @@ func (s *ShardSet) runSolo(i int) {
 	}
 }
 
-// releaseHop opens the next hop for the fleet: reset the finish counter
-// and the Tmin reduction, reset claim, republish the claim bound (in that
-// order — the bound is the gate, so claim must be zero before any
-// participant can pass it, and a claim taken the instant the bound lands
-// correctly counts toward the new hop), bump the hop counter, and wake at
+// releaseHop opens the next hop for the fleet: reset the finish counter,
+// reset claim, republish the claim bound (in that order — the bound is
+// the gate, so claim must be zero before any participant can pass it,
+// and a claim taken the instant the bound lands correctly counts toward
+// the new hop), bump the hop counter, and wake at
 // most engaged-1 parked participants — the releasing thread claims work
 // itself, and waking more workers than there are claimable shards is
 // pure wake/park churn. Fewer awake workers than engaged shards is safe:
@@ -726,7 +660,6 @@ func (s *ShardSet) runSolo(i int) {
 //partib:role transition
 func (s *ShardSet) releaseHop(engagedShards int) {
 	s.finished.Store(0)
-	s.tmin.Store(int64(timeInf))
 	s.claim.Store(0)
 	s.nclaims.Store(int64(engagedShards))
 	s.hop.Add(1)
@@ -843,10 +776,6 @@ func (s *ShardSet) Run(workers int) error {
 			at = v
 		}
 		s.nextSlot[i] = at
-	}
-	s.tmin.Store(int64(timeInf))
-	for _, at := range s.nextSlot {
-		atomicMinTime(&s.tmin, at)
 	}
 	s.transition(false)
 	if !s.done.Load() {
