@@ -9,7 +9,9 @@ GO ?= go
 
 check: vet lint build test race conformance
 
+# gofmt must have nothing to say: a file it would reformat fails the target.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 # partlint is the repository's own analyzer suite (DESIGN.md §10, §14):

@@ -62,7 +62,7 @@ func (e *engine) record(id uint64) {
 func (e *engine) onRndv(id uint64) {
 	time.Sleep(time.Millisecond) // want "time.Sleep in completion callback onRndv"
 	v := <-e.ch                  // want "channel receive in completion callback onRndv"
-	select { // want "blocking select in completion callback onRndv"
+	select {                     // want "blocking select in completion callback onRndv"
 	case e.out <- v:
 	case w := <-e.ch:
 		_ = w

@@ -33,6 +33,7 @@ func (m *shardMailbox) postLogged(at int64, arg *item, log func(string)) {
 
 // advance is the window loop shape: pops existing entries and writes into
 // existing memory, allocating nothing.
+//
 //partib:hotpath
 func (m *shardMailbox) advance(end int64, fire func(int64, *item)) {
 	i := 0
@@ -49,6 +50,7 @@ func (m *shardMailbox) advance(end int64, fire func(int64, *item)) {
 
 // atomicMin is the decentralized barrier's Tmin reduction shape: a bare
 // CAS retry loop over one shared word, allocating nothing.
+//
 //partib:hotpath
 func atomicMin(m *atomic.Int64, at int64) {
 	for {
@@ -65,6 +67,7 @@ func atomicMin(m *atomic.Int64, at int64) {
 // atomicMinDeferred is the shape the reduction must NOT take: wrapping
 // the retry in a closure (e.g. for a helper or defer) allocates the
 // captures on every publish.
+//
 //partib:hotpath
 func atomicMinDeferred(m *atomic.Int64, at int64) {
 	publish := func() bool { // want "defines a closure"
@@ -79,6 +82,7 @@ func atomicMinDeferred(m *atomic.Int64, at int64) {
 // destination's sealed snapshots in fixed source order and schedules each
 // entry into existing engine memory. Reads only — no compaction, no
 // clearing — so the loop is allocation-free.
+//
 //partib:hotpath
 func drainSealed(sealed [][]shardPost, fire func(int64, *item)) {
 	for src := 0; src < len(sealed); src++ {
@@ -91,6 +95,7 @@ func drainSealed(sealed [][]shardPost, fire func(int64, *item)) {
 
 // drainSealedBoxed is the drain shape gone wrong: building a fresh
 // per-entry callback record boxes and allocates on every delivered post.
+//
 //partib:hotpath
 func drainSealedBoxed(sealed [][]shardPost, schedule func(any)) {
 	for src := 0; src < len(sealed); src++ {

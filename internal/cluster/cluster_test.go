@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -249,6 +250,66 @@ func TestRackTopologyShardedMatchesSerial(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: node %d finished at %v, serial at %v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSmallBurstShardedMatchesSerial is the cluster-level differential
+// for bursts much shorter than the pair latencies: with BurstBytes = MTU
+// a flow injects its next burst long before the previous one reaches the
+// destination, so many of one flow's bursts are in flight at once, each
+// in its own hop record. Several flows per node cross shard boundaries
+// (and, on the two-level topology, rack boundaries); every delivery and
+// completion timestamp must match the serial run at 2 and 4 shards.
+func TestSmallBurstShardedMatchesSerial(t *testing.T) {
+	const nodes, msgs = 8, 3
+	for _, tc := range []struct {
+		name string
+		topo *fabric.Topology
+	}{
+		{"single-link", nil},
+		{"two-level", fabric.TwoLevel(2, 750*time.Nanosecond)},
+	} {
+		run := func(shards int) (delivered, acked [][]sim.Time) {
+			cfg := NiagaraConfig(nodes)
+			cfg.Fabric.BurstBytes = cfg.Fabric.MTU
+			cfg.Fabric.Topo = tc.topo
+			cfg.Shards = shards
+			c := New(cfg)
+			// Each row is appended to only by its own node's engine:
+			// deliveries on the destination's, completions on the source's.
+			delivered = make([][]sim.Time, nodes)
+			acked = make([][]sim.Time, nodes)
+			for i := 0; i < nodes; i++ {
+				src := i
+				for k, hop := range []int{1, 3, 4, 4} {
+					dst := (src + hop) % nodes
+					fl := c.Fabric.NewFlowID(c.Nodes[src].HCA.Port(), c.Nodes[dst].HCA.Port(), uint64(k))
+					for m := 0; m < msgs; m++ {
+						fl.Send(fabric.Message{
+							Bytes:     64 << 10,
+							OnDeliver: func(at sim.Time) { delivered[dst] = append(delivered[dst], at) },
+							OnAck:     func(at sim.Time) { acked[src] = append(acked[src], at) },
+						})
+					}
+				}
+			}
+			if err := c.Run(0); err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+			}
+			return delivered, acked
+		}
+		wantDel, wantAck := run(1)
+		for _, shards := range []int{2, 4} {
+			gotDel, gotAck := run(shards)
+			for n := 0; n < nodes; n++ {
+				if len(wantDel[n]) != 4*msgs || !slices.Equal(gotDel[n], wantDel[n]) {
+					t.Errorf("%s shards=%d: node %d deliveries %v, serial %v", tc.name, shards, n, gotDel[n], wantDel[n])
+				}
+				if len(wantAck[n]) != 4*msgs || !slices.Equal(gotAck[n], wantAck[n]) {
+					t.Errorf("%s shards=%d: node %d completions %v, serial %v", tc.name, shards, n, gotAck[n], wantAck[n])
+				}
 			}
 		}
 	}

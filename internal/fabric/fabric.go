@@ -11,10 +11,19 @@
 //   - per-byte injection pacing PerQPByteTime on the flow (a single QP
 //     cannot saturate the link, which is why the paper's Figure 7 finds
 //     more QPs help large transfers),
-//   - per-byte serialization LinkByteTime on the shared egress and ingress
-//     link cursors (LogGP G), with per-MTU-packet header bytes, and
+//   - per-byte serialization LinkByteTime on the port's shared egress
+//     link cursor (LogGP G), with per-MTU-packet header bytes, and
 //   - WireLatency (LogGP L) on the wire, plus AckLatency for the sender's
 //     completion.
+//
+// Every burst then travels one hop pipeline: it hops link cursor to link
+// cursor along its flow's route, each cursor charging bursts in a
+// canonical order. A graph topology routes over its switch links, each
+// with its own per-byte cost. A flat topology routes every flow over a
+// single hop, the destination port's ingress cursor, which has zero
+// latency and zero byte time: it only orders arrivals, so flat topologies
+// do not model receiver-side incast. Contention beyond the sender's
+// egress needs a graph topology.
 //
 // Link arbitration happens at burst granularity (BurstBytes, default
 // 64 KiB): a flow reserves the link for at most one burst at a time, so
@@ -70,10 +79,12 @@ type Config struct {
 	// CtrlLatency is the control-plane one-way latency.
 	CtrlLatency time.Duration
 	// Topo selects the interconnect topology. nil means the single
-	// shared link the fabric always modelled. Flat topologies
-	// (single-link, two-level racks) only reshape pair latencies; graph
-	// topologies (fat-tree, dragonfly) add per-link serialization cursors
-	// so routed flows genuinely contend. See topology.go.
+	// shared link the fabric always modelled. Every topology uses the one
+	// hop pipeline: flat topologies (single-link, two-level racks) route
+	// each flow over the destination's zero-cost ingress hop and only
+	// reshape pair latencies; graph topologies (fat-tree, dragonfly) route
+	// over per-link serialization cursors so flows genuinely contend. See
+	// topology.go.
 	Topo *Topology
 }
 
@@ -246,18 +257,13 @@ type Port struct {
 	id   int
 	name string
 
-	egressFreeAt  sim.Time
-	ingressFreeAt sim.Time
-
-	// resvPending batches burst reservations that fired at the same
-	// virtual instant so the ingress cursor can charge them in canonical
-	// (arrival bound, source ID) order one nanosecond later — independent
-	// of event seq order, which differs between serial and sharded runs
-	// (see fireIngressResv). resvFlushAt is the instant of the scheduled
-	// flush (at most one per instant). Both are owned by this port's
-	// engine.
-	resvPending []ingressResv
-	resvFlushAt sim.Time
+	egressFreeAt sim.Time
+	// ingress is the port's arrival cursor, the one-hop route of every
+	// flat-topology flow into the port. It has zero latency and zero
+	// byte time, so it only orders arrivals (canonically, like every
+	// link cursor); it is owned by this port's engine and is not a
+	// topology link, so LinkStats does not report it.
+	ingress linkState
 
 	ctrlHandler func(from *Port, payload any)
 	// ctrlLastAt enforces FIFO control delivery per destination port. It
@@ -292,6 +298,7 @@ func (f *Fabric) NewPort(name string) *Port {
 // so the binding is race-free.
 func (f *Fabric) NewPortOn(e *sim.Engine, name string) *Port {
 	p := &Port{fab: f, eng: e, id: len(f.ports), name: name}
+	p.ingress.eng = e
 	if h := f.topo.Hosts(); h > 0 && p.id >= h {
 		panic(fmt.Sprintf("fabric: port %d exceeds topology %q host capacity %d", p.id, f.topo.Name(), h))
 	}
@@ -414,9 +421,9 @@ type Message struct {
 // at burst granularity.
 //
 // A flow's injection pipeline (Send, step, finish, ack, release) runs on
-// the source port's engine; arrival-side effects (ingress serialization,
-// delivery) run on the destination port's engine, reached through
-// per-burst reservation events posted one wire latency ahead (see step).
+// the source port's engine; each burst then hops along the flow's route
+// of link cursors (see step), and delivery runs on the engine of the last
+// hop, the destination port's.
 type Flow struct {
 	fab *Fabric
 	eng *sim.Engine // == src.eng: the injection-side shard
@@ -430,9 +437,12 @@ type Flow struct {
 	head  int
 	// free recycles flowMsg structs: a message returns to the list once
 	// its delivery (and ack, if requested) events have fired, so
-	// steady-state Send allocates nothing after warm-up.
-	free   []*flowMsg
-	active bool
+	// steady-state Send allocates nothing after warm-up. hopFree is the
+	// intrusive list of spent hop records, which return with their
+	// message (see release). Both are touched only on the source engine.
+	free    []*flowMsg
+	hopFree *hopResv
+	active  bool
 
 	// paceFreeAt is when the flow may inject its next burst (per-QP rate).
 	paceFreeAt sim.Time
@@ -443,58 +453,51 @@ type Flow struct {
 	// does no topology arithmetic: the forward wire latency src→dst, the
 	// return ack latency dst→src, and the return release gap (the pair
 	// lookahead), each including the topology's pair extra (inter-rack,
-	// or route latency) when the endpoints are not adjacent. On a routed
-	// flow wireLat covers only host injection (the per-link latencies
-	// are charged hop by hop), while ackLat/relLat still span the whole
-	// return path.
+	// or route latency) when the endpoints are not adjacent. On a
+	// graph-routed flow wireLat covers only host injection (the per-link
+	// latencies are charged hop by hop), while ackLat/relLat still span
+	// the whole return path.
 	wireLat time.Duration
 	ackLat  time.Duration
 	relLat  time.Duration
 
-	// Routed-topology state (nil/zero on flat topologies). route is the
-	// flow's hash-selected link path, fixed at creation; flowID is the
-	// caller-chosen identity that seeded the path hash and breaks
-	// canonical-order ties between flows sharing a (src, dst) pair.
-	// hopFree recycles hop reservations; it is touched only on the
-	// source engine (take in step, return via fireHopRecycle).
-	route   []*linkState
-	flowID  uint64
-	hopFree []*hopResv
+	// route is the flow's link path, fixed at creation: the
+	// hash-selected graph route, or the destination's ingress cursor on
+	// a flat topology. flowID is the caller-chosen identity that seeded
+	// the path hash and breaks canonical-order ties between flows
+	// sharing a (src, dst) pair.
+	route  []*linkState
+	flowID uint64
 }
 
 // flowMsg is the in-flight state of one message. It doubles as the
-// pre-bound argument of the flow's step/reservation/deliver/ack events,
-// so the whole lifetime of a message schedules no closures.
-//
-// The resv* fields are a single-slot channel from the injection side to
-// the arrival side, rewritten per burst. The reuse is race-free under
-// sharding because consecutive writes are at least one full-burst pace
-// apart, which Cluster validates to exceed the largest pair wire latency
-// plus the largest pair lookahead: the reservation carrying the previous
-// value has then already fired in an earlier synchronization hop (and
-// the hop barrier orders the memory accesses). Likewise the struct is
+// pre-bound argument of the flow's step/deliver/ack/release events, so
+// the whole lifetime of a message schedules no closures. The struct is
 // recycled only on the source engine, at least one pair lookahead after
-// its final reservation fired.
+// its final burst's last charge.
 type flowMsg struct {
 	fl          *Flow
 	msg         Message
 	remaining   int
 	lastArrival sim.Time
 	ackAt       sim.Time
-	// resvArrive is the arrival lower bound (egress end + wire latency)
-	// of the burst whose reservation is in flight; resvFinal marks the
-	// message's last burst.
-	resvArrive sim.Time
-	resvFinal  bool
+	// hops chains the hop records of the message's bursts (newest first,
+	// through hopResv.next) and hopsTail is the oldest; release splices
+	// the chain onto the flow's hopFree.
+	hops, hopsTail *hopResv
 }
 
 // Typed-event trampolines for the flow pipeline (see sim.AtCall).
+//
 //partib:hotpath
-func fireFlowStep(_ sim.Time, arg any)    { arg.(*Flow).step() }
+func fireFlowStep(_ sim.Time, arg any) { arg.(*Flow).step() }
+
 //partib:hotpath
 func fireFlowDeliver(_ sim.Time, arg any) { arg.(*flowMsg).deliver() }
+
 //partib:hotpath
-func fireFlowAck(_ sim.Time, arg any)     { arg.(*flowMsg).ack() }
+func fireFlowAck(_ sim.Time, arg any) { arg.(*flowMsg).ack() }
+
 //partib:hotpath
 func fireFlowRelease(_ sim.Time, arg any) { fm := arg.(*flowMsg); fm.fl.release(fm) }
 
@@ -530,15 +533,19 @@ func (f *Fabric) NewFlowID(src, dst *Port, flowID uint64) *Flow {
 		ackLat:  f.cfg.AckLatency + extra,
 		relLat:  f.cfg.Lookahead() + extra,
 	}
-	if ids := f.topo.Route(src.id, dst.id, flowID); ids != nil {
-		fl.route = make([]*linkState, len(ids))
-		for i, id := range ids {
-			fl.route[i] = &f.links[id]
-		}
-		// Hop latencies are charged per link; injection pays only the
-		// host's wire latency.
-		fl.wireLat = f.cfg.WireLatency
+	ids := f.topo.Route(src.id, dst.id, flowID)
+	if ids == nil {
+		// Flat topology: one zero-cost hop, the destination's ingress.
+		fl.route = []*linkState{&dst.ingress}
+		return fl
 	}
+	fl.route = make([]*linkState, len(ids))
+	for i, id := range ids {
+		fl.route[i] = &f.links[id]
+	}
+	// Hop latencies are charged per link; injection pays only the host's
+	// wire latency.
+	fl.wireLat = f.cfg.WireLatency
 	return fl
 }
 
@@ -553,6 +560,7 @@ func (fl *Flow) Queued() int { return len(fl.queue) - fl.head }
 
 // Send enqueues a message on the flow. Zero-byte messages still traverse
 // the wire (headers move). Negative sizes panic.
+//
 //partib:hotpath
 func (fl *Flow) Send(m Message) {
 	if m.Bytes < 0 {
@@ -577,14 +585,23 @@ func (fl *Flow) Send(m Message) {
 }
 
 // release returns a flowMsg whose events have all fired to the free list,
-// dropping callback references so captured state can be collected.
+// dropping callback references so captured state can be collected, and
+// retires the message's hop records with it. That is safe because every
+// link serves one flow's bursts in order, so the final burst's last charge
+// comes after every earlier burst's: by the time the ack or release that
+// calls this fires, all of the message's records are dead.
+//
 //partib:hotpath
 func (fl *Flow) release(fm *flowMsg) {
+	fm.hopsTail.next = fl.hopFree
+	fl.hopFree = fm.hops
+	fm.hops, fm.hopsTail = nil, nil
 	fm.msg = Message{}
 	fl.free = append(fl.free, fm) //partlint:allow hotpathalloc amortized free-list growth
 }
 
 // startHead begins WR processing for the message at the head of the queue.
+//
 //partib:hotpath
 func (fl *Flow) startHead() {
 	e := fl.eng
@@ -604,13 +621,13 @@ func (fl *Flow) startHead() {
 }
 
 // step injects one burst of the head message, then schedules the next
-// action. It runs as an event on the source engine. The destination's
-// ingress cursor is not touched here: a reservation event posted one wire
-// latency ahead joins the destination port's pending batch, and a flush
-// charges the whole batch in canonical (arrival bound, source ID) order —
-// see fireIngressResv. That order is a pure function of the traffic, so
-// arrival timestamps are bit-for-bit identical across serial and sharded
-// runs and across worker counts.
+// action. It runs as an event on the source engine. No downstream cursor
+// is touched here: a hop record posted one wire latency ahead joins the
+// first route link's pending batch, and a flush charges the whole batch
+// in canonical order — see fireLinkResv. That order is a pure function of
+// the traffic, so arrival timestamps are bit-for-bit identical across
+// serial and sharded runs and across worker counts.
+//
 //partib:hotpath
 func (fl *Flow) step() {
 	e := fl.eng
@@ -642,26 +659,12 @@ func (fl *Flow) step() {
 	}
 
 	fm.remaining -= burst
-	if fl.route != nil {
-		// Routed topology: the burst hops link cursor to link cursor
-		// instead of reserving the destination's ingress. The hop record
-		// snapshots everything the downstream flushes need, so the
-		// flowMsg's single reservation slot is not involved and the
-		// per-burst pace constraint the flat model needs does not apply.
-		hr := fl.takeHop()
-		hr.arrive = egressEnd.Add(fl.wireLat)
-		hr.wireBytes = int32(wireBytes)
-		hr.hop = 0
-		hr.final = fm.remaining == 0
-		if hr.final {
-			hr.fm = fm
-		}
-		e.Post(fl.route[0].eng, e.Now().Add(fl.wireLat), fireLinkResv, hr)
-	} else {
-		fm.resvArrive = egressEnd.Add(fl.wireLat)
-		fm.resvFinal = fm.remaining == 0
-		e.Post(fl.dst.eng, e.Now().Add(fl.wireLat), fireIngressResv, fm)
-	}
+	hr := fl.takeHop(fm)
+	hr.arrive = egressEnd.Add(fl.wireLat)
+	hr.wireBytes = int32(wireBytes)
+	hr.hop = 0
+	hr.final = fm.remaining == 0
+	e.Post(fl.route[0].eng, e.Now().Add(fl.wireLat), fireLinkResv, hr)
 
 	if fm.remaining > 0 {
 		e.AtCall(fl.paceFreeAt, fireFlowStep, fl)
@@ -672,123 +675,12 @@ func (fl *Flow) step() {
 	fl.finish(egressEnd)
 }
 
-// ingressResv is one burst reservation awaiting its destination's ingress
-// charge. The arrival bound, finality, and tie-break key are snapshotted at
-// reservation-fire time (the flowMsg's single reservation slot may be
-// rewritten by the source before the flush runs), so the flush touches the
-// flowMsg only for final bursts, whose slot is stable until recycle.
-type ingressResv struct {
-	at     sim.Time // reservation fire instant (batch key)
-	arrive sim.Time // arrival lower bound (egress end + wire latency)
-	srcID  int      // tie-break after arrive: source port ID
-	final  bool     // message's last burst: schedule delivery + completion
-	fm     *flowMsg
-}
-
-// resvBefore is the canonical ingress-charge order within one instant's
-// batch: earlier arrival bound first, source port ID breaking ties. Two
-// reservations from one source port can never carry equal arrival bounds —
-// the shared egress cursor strictly separates their egress ends — so the
-// order is total.
-//partib:hotpath
-func resvBefore(a, b *ingressResv) bool {
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
-	}
-	return a.srcID < b.srcID
-}
-
-// fireIngressResv runs on the destination engine when a burst reaches the
-// destination. It does not charge the ingress cursor directly: reservations
-// from different source ports can fire at the same virtual instant, and
-// their event order at a tie follows engine seq assignment, which depends
-// on how nodes are grouped onto shard engines. Charging in that order would
-// make delivery timestamps differ between serial and sharded runs. Instead
-// the reservation joins the port's pending batch, and a flush one
-// nanosecond later charges the whole instant's batch in canonical
-// (arrival bound, source ID) order — the same order, and therefore the same
-// timestamps, on every shard layout.
-//partib:hotpath
-func fireIngressResv(at sim.Time, arg any) {
-	fm := arg.(*flowMsg)
-	dst := fm.fl.dst
-	dst.resvPending = append(dst.resvPending, ingressResv{ //partlint:allow hotpathalloc amortized; batch buffer is reused
-		at:     at,
-		arrive: fm.resvArrive,
-		srcID:  fm.fl.src.id,
-		final:  fm.resvFinal,
-		fm:     fm,
-	})
-	if flushAt := at + 1; dst.resvFlushAt < flushAt {
-		dst.resvFlushAt = flushAt
-		dst.eng.AtCall(flushAt, fireIngressFlush, dst)
-	}
-}
-
-// fireIngressFlush charges the previous instant's reservation batch on the
-// ingress cursor in canonical order, and for each final burst schedules the
-// delivery locally and routes the completion (or, without one, the flowMsg
-// recycle) back to the source — both at timestamps at least one lookahead
-// ahead, keeping every cross-shard hop conservative. Only entries that
-// fired strictly before this flush are processed: an entry firing at the
-// flush instant itself may sit in the buffer already or not (seq order at
-// the tie is arbitrary), so it is left for its own flush either way.
-//partib:hotpath
-func fireIngressFlush(now sim.Time, arg any) {
-	p := arg.(*Port)
-	pending := p.resvPending
-	n := 0
-	for n < len(pending) && pending[n].at < now {
-		n++
-	}
-	batch := pending[:n]
-	// Insertion sort into canonical order; batches are almost always a
-	// single entry, a handful under heavy fan-in.
-	for i := 1; i < len(batch); i++ {
-		for j := i; j > 0 && resvBefore(&batch[j], &batch[j-1]); j-- {
-			batch[j], batch[j-1] = batch[j-1], batch[j]
-		}
-	}
-	for i := range batch {
-		r := &batch[i]
-		arrive := r.arrive
-		if p.ingressFreeAt > arrive {
-			arrive = p.ingressFreeAt
-		}
-		p.ingressFreeAt = arrive
-		if !r.final {
-			continue
-		}
-		fm := r.fm
-		fl := fm.fl
-		fm.lastArrival = arrive
-		e := p.eng
-		e.AtCall(arrive, fireFlowDeliver, fm)
-		if fm.msg.OnAck != nil {
-			fm.ackAt = arrive.Add(fl.ackLat)
-			e.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
-		} else {
-			// No completion requested: the struct still belongs to the
-			// source engine's free list, so send it home one pair lookahead
-			// after the delivery (the recycle instant has no observable
-			// effect).
-			e.Post(fl.eng, arrive.Add(fl.relLat), fireFlowRelease, fm)
-		}
-	}
-	// Drop the processed prefix; clear vacated slots so delivered flowMsgs
-	// are not pinned until overwritten.
-	kept := copy(pending, pending[n:])
-	for i := kept; i < len(pending); i++ {
-		pending[i] = ingressResv{}
-	}
-	p.resvPending = pending[:kept]
-}
-
 // finish closes out the sender side of a fully injected message and
 // advances to the next queued one. Delivery and completion are scheduled
-// by the final burst's reservation on the arrival side; the flowMsg
+// by the final burst's last hop on the arrival side; the flowMsg
 // returns to the free list once the last source-side event referencing it
 // (ack or release) has fired.
+//
 //partib:hotpath
 func (fl *Flow) finish(egressEnd sim.Time) {
 	fl.msgFreeAt = egressEnd.Add(fl.fab.cfg.MsgGap)
@@ -805,6 +697,7 @@ func (fl *Flow) finish(egressEnd sim.Time) {
 
 // deliver runs on the destination engine at the instant the last byte is
 // placed at the destination.
+//
 //partib:hotpath
 func (fm *flowMsg) deliver() {
 	fm.fl.dst.bytesReceived += int64(fm.msg.Bytes)
@@ -815,6 +708,7 @@ func (fm *flowMsg) deliver() {
 
 // ack runs on the source engine when the sender's hardware completion
 // would be generated.
+//
 //partib:hotpath
 func (fm *flowMsg) ack() {
 	fn, at := fm.msg.OnAck, fm.ackAt
@@ -822,11 +716,12 @@ func (fm *flowMsg) ack() {
 	fn(at)
 }
 
-// linkState is the serialization cursor of one graph-topology link. Each
-// burst crossing the link is charged wireBytes*byteTime on the cursor in
-// canonical order, then propagates for the link latency toward the next
-// hop — the per-link LogGP {latency, byteTime} pair. All fields are owned
-// by eng (the engine of the link's OwnerHost).
+// linkState is the serialization cursor of one hop: a graph-topology
+// link, or a port's ingress (Port.ingress, zero latency and zero byte
+// time). Each burst crossing the hop is charged wireBytes*byteTime on the
+// cursor in canonical order, then propagates for the hop latency toward
+// the next hop — the per-link LogGP {latency, byteTime} pair. All fields
+// are owned by eng (the engine of the link's OwnerHost, or the port's).
 type linkState struct {
 	link     Link
 	eng      *sim.Engine
@@ -836,11 +731,10 @@ type linkState struct {
 	freeAt sim.Time
 	// pending batches hop reservations that fired at the same virtual
 	// instant so the cursor can charge them in canonical (arrival bound,
-	// source, destination, flow) order one nanosecond later — the same
-	// discipline as the port ingress batch (fireIngressResv), for the
-	// same reason: event order at a timestamp tie depends on the shard
-	// layout, the canonical order does not. flushAt is the instant of
-	// the scheduled flush (at most one per instant).
+	// source, destination, flow) order one nanosecond later: event order
+	// at a timestamp tie depends on the shard layout, the canonical order
+	// does not. flushAt is the instant of the scheduled flush (at most
+	// one per instant).
 	pending []*hopResv
 	flushAt sim.Time
 
@@ -922,32 +816,38 @@ func (f *Fabric) LinkStats() []LinkStats {
 	return out
 }
 
-// hopResv is one burst traversing a routed flow's link path. It
-// snapshots everything the downstream link cursors need (the flowMsg's
-// single reservation slot is never involved), hops cursor to cursor, and
-// is recycled to the source engine's free list after the last hop. fm is
-// set only on a message's final burst.
+// hopResv is one burst traversing its flow's route. It snapshots
+// everything the downstream link cursors need and hops cursor to cursor;
+// it returns to the flow's free list with its message (Flow.release).
+// next links the message's chain on the source engine, and the free list
+// after release.
 type hopResv struct {
 	at        sim.Time // reservation fire instant at the current link (batch key)
 	arrive    sim.Time // arrival lower bound at the current link's cursor
 	wireBytes int32
 	hop       int32
-	final     bool
+	final     bool // message's last burst: schedule delivery + completion
 	fl        *Flow
 	fm        *flowMsg
+	next      *hopResv
 }
 
-// takeHop pops a hop reservation from the flow's free list. Runs on the
-// source engine (from step).
+// takeHop pops a hop record from the flow's free list and chains it onto
+// fm's records. Runs on the source engine (from step).
+//
 //partib:hotpath
-func (fl *Flow) takeHop() *hopResv {
-	if n := len(fl.hopFree); n > 0 {
-		hr := fl.hopFree[n-1]
-		fl.hopFree[n-1] = nil
-		fl.hopFree = fl.hopFree[:n-1]
-		return hr
+func (fl *Flow) takeHop(fm *flowMsg) *hopResv {
+	hr := fl.hopFree
+	if hr != nil {
+		fl.hopFree = hr.next
+	} else {
+		hr = &hopResv{fl: fl} //partlint:allow hotpathalloc free-list miss; steady state recycles
 	}
-	return &hopResv{fl: fl} //partlint:allow hotpathalloc free-list miss; steady state recycles
+	if fm.hops == nil {
+		fm.hopsTail = hr
+	}
+	hr.fm, hr.next, fm.hops = fm, fm.hops, hr
+	return hr
 }
 
 // hopBefore is the canonical link-charge order within one instant's
@@ -956,6 +856,7 @@ func (fl *Flow) takeHop() *hopResv {
 // identity is unique per pair and direction), and equal keys — burst
 // pairs of one flow — keep their FIFO order because the insertion sort
 // is stable and per-flow hops arrive in injection order.
+//
 //partib:hotpath
 func hopBefore(a, b *hopResv) bool {
 	if a.arrive != b.arrive {
@@ -971,12 +872,12 @@ func hopBefore(a, b *hopResv) bool {
 	return af.flowID < bf.flowID
 }
 
-// fireLinkResv runs on a link's engine when a burst reaches the link. As
-// with port ingress, the cursor is not charged here: reservations from
-// different flows can fire at the same virtual instant in
-// shard-layout-dependent event order, so the reservation joins the
-// link's pending batch and a flush one nanosecond later charges the
-// whole instant's batch in canonical order.
+// fireLinkResv runs on a link's engine when a burst reaches the link. The
+// cursor is not charged here: reservations from different flows can fire
+// at the same virtual instant in shard-layout-dependent event order, so
+// the reservation joins the link's pending batch and a flush one
+// nanosecond later charges the whole instant's batch in canonical order.
+//
 //partib:hotpath
 func fireLinkResv(at sim.Time, arg any) {
 	hr := arg.(*hopResv)
@@ -994,6 +895,7 @@ func fireLinkResv(at sim.Time, arg any) {
 // are processed (each entry's own flush runs one nanosecond after it
 // fired, and engine events fire in time order, so every processed entry
 // fired exactly one nanosecond ago).
+//
 //partib:hotpath
 func fireLinkFlush(now sim.Time, arg any) {
 	l := arg.(*linkState)
@@ -1019,12 +921,13 @@ func fireLinkFlush(now sim.Time, arg any) {
 }
 
 // charge serializes one burst onto the link and forwards it: to the next
-// link's batch one link latency ahead, or — after the final (down) link —
-// onto the destination host, scheduling delivery and routing the
-// completion or recycle back to the source exactly as the flat pipeline
-// does. Every cross-engine post is at least one link latency (next hop)
-// or one pair lookahead (return path) in the future, so the hops stay
-// conservative under the cluster's topology lookahead matrix.
+// link's batch one link latency ahead, or — after the last hop (a graph
+// route's down link, or a flat flow's ingress) — onto the destination
+// host, scheduling delivery and routing the completion or release back to
+// the source. Every cross-engine post is at least one link latency (next
+// hop) or one pair lookahead (return path) in the future, so the hops
+// stay conservative under the cluster's topology lookahead matrix.
+//
 //partib:hotpath
 func (l *linkState) charge(now sim.Time, hr *hopResv) {
 	start := hr.arrive
@@ -1051,29 +954,22 @@ func (l *linkState) charge(now sim.Time, hr *hopResv) {
 		l.eng.Post(fl.route[hr.hop].eng, now.Add(l.lat), fireLinkResv, hr)
 		return
 	}
-	// Last hop: the burst has crossed the destination's down link. The
-	// down link's cursor is owned by the destination host's engine, so
-	// delivery is a local event.
-	if hr.final {
-		fm := hr.fm
-		fm.lastArrival = hr.arrive
-		l.eng.AtCall(hr.arrive, fireFlowDeliver, fm)
-		if fm.msg.OnAck != nil {
-			fm.ackAt = hr.arrive.Add(fl.ackLat)
-			l.eng.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
-		} else {
-			l.eng.Post(fl.eng, hr.arrive.Add(fl.relLat), fireFlowRelease, fm)
-		}
+	// Last hop: the burst has reached the destination. The last cursor
+	// (down link or ingress) is owned by the destination host's engine,
+	// so delivery is a local event.
+	if !hr.final {
+		return
 	}
-	l.eng.Post(fl.eng, now.Add(fl.relLat), fireHopRecycle, hr)
-}
-
-// fireHopRecycle returns a spent hop reservation to its flow's free list
-// on the source engine.
-//partib:hotpath
-func fireHopRecycle(_ sim.Time, arg any) {
-	hr := arg.(*hopResv)
-	fl := hr.fl
-	hr.fm = nil
-	fl.hopFree = append(fl.hopFree, hr) //partlint:allow hotpathalloc amortized free-list growth
+	fm := hr.fm
+	fm.lastArrival = hr.arrive
+	l.eng.AtCall(hr.arrive, fireFlowDeliver, fm)
+	if fm.msg.OnAck != nil {
+		fm.ackAt = hr.arrive.Add(fl.ackLat)
+		l.eng.Post(fl.eng, fm.ackAt, fireFlowAck, fm)
+	} else {
+		// No completion requested: the struct still belongs to the source
+		// engine's free list, so send it home one pair lookahead after the
+		// delivery (the release instant has no observable effect).
+		l.eng.Post(fl.eng, hr.arrive.Add(fl.relLat), fireFlowRelease, fm)
+	}
 }

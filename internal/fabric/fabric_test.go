@@ -150,48 +150,84 @@ func TestInlineSkipsWRProcess(t *testing.T) {
 	}
 }
 
+// hotFlowCases are the flows the zero-alloc gate and BenchmarkFlowMessage
+// drive: a single-link flow, whose one hop is the destination's ingress
+// cursor, and a fat-tree flow across edge switches, whose bursts hop
+// up, down and onto the destination's down link.
+var hotFlowCases = []struct {
+	topo string
+	dst  int
+}{
+	{"single-link", 1},
+	{"fat-tree:k=4", 2}, // two hosts per edge: host 2 is under the next edge
+}
+
+// newHotFlow builds a fabric on topology spec and a flow from port 0 to
+// port dst.
+func newHotFlow(tb testing.TB, spec string, dst int) (*sim.Engine, *Flow) {
+	tb.Helper()
+	topo, err := ParseTopology(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Topo = topo
+	e := sim.NewEngine()
+	f := New(e, cfg)
+	ports := make([]*Port, dst+1)
+	for i := range ports {
+		ports[i] = f.NewPort("p")
+	}
+	return e, f.NewFlow(ports[0], ports[dst])
+}
+
 // TestFlowSteadyStateZeroAllocs is the allocation regression gate on the
-// fabric hot path: once the event and flowMsg free lists are warm, a full
-// message lifetime (send, multi-burst injection, delivery, ack) allocates
-// nothing.
+// fabric hot path: once the event, flowMsg and hop-record free lists are
+// warm, a full message lifetime (send, multi-burst injection, every hop,
+// delivery, ack) allocates nothing.
 func TestFlowSteadyStateZeroAllocs(t *testing.T) {
-	e, f := testFabric(t)
-	a, b := f.NewPort("a"), f.NewPort("b")
-	fl := f.NewFlow(a, b)
-	delivered, acked := 0, 0
-	onDeliver := func(sim.Time) { delivered++ }
-	onAck := func(sim.Time) { acked++ }
-	round := func() {
-		// 200 KiB spans multiple bursts, exercising step rescheduling.
-		fl.Send(Message{Bytes: 200 << 10, OnDeliver: onDeliver, OnAck: onAck})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ { // warm the free lists
-		round()
-	}
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("steady-state message costs %.1f allocs, want 0", allocs)
-	}
-	if delivered == 0 || acked != delivered {
-		t.Fatalf("delivered %d, acked %d", delivered, acked)
+	for _, tc := range hotFlowCases {
+		t.Run(tc.topo, func(t *testing.T) {
+			e, fl := newHotFlow(t, tc.topo, tc.dst)
+			delivered, acked := 0, 0
+			onDeliver := func(sim.Time) { delivered++ }
+			onAck := func(sim.Time) { acked++ }
+			round := func() {
+				// 200 KiB spans multiple bursts, exercising step
+				// rescheduling.
+				fl.Send(Message{Bytes: 200 << 10, OnDeliver: onDeliver, OnAck: onAck})
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ { // warm the free lists
+				round()
+			}
+			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+				t.Errorf("steady-state message costs %.1f allocs, want 0", allocs)
+			}
+			if delivered == 0 || acked != delivered {
+				t.Fatalf("delivered %d, acked %d", delivered, acked)
+			}
+		})
 	}
 }
 
 // BenchmarkFlowMessage measures one full message lifetime on a warm flow.
 func BenchmarkFlowMessage(b *testing.B) {
-	e := sim.NewEngine()
-	f := New(e, DefaultConfig())
-	fl := f.NewFlow(f.NewPort("a"), f.NewPort("b"))
-	onAck := func(sim.Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fl.Send(Message{Bytes: 4096, OnAck: onAck})
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range hotFlowCases {
+		b.Run(tc.topo, func(b *testing.B) {
+			e, fl := newHotFlow(b, tc.topo, tc.dst)
+			onAck := func(sim.Time) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fl.Send(Message{Bytes: 4096, OnAck: onAck})
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

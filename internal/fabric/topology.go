@@ -7,16 +7,19 @@
 //     single-link topology (extra == 0 everywhere) reproduces the
 //     original one-switch fabric byte for byte, and the two-level
 //     topology adds a fixed extra to every cross-rack pair — both are
-//     latency shapes, not contention models.
+//     latency shapes, not contention models: a flat flow's route is the
+//     one zero-cost hop onto the destination port's ingress cursor.
 //
 //   - Graph topologies (fat-tree, dragonfly) materialize switches and
 //     links. Every switch-to-switch link and every switch-to-host down
 //     link owns a serialization cursor with its own LogGP {latency,
 //     byteTime} pair, so flows whose routes share a link genuinely
-//     contend: bursts are charged on each hop's cursor in canonical
-//     (arrival bound, source, flow) order, the same discipline the
-//     ingress fix (DESIGN.md §11) uses, which keeps results bit-identical
-//     across serial, sharded, and any worker-count runs.
+//     contend.
+//
+// Both modes share one hop pipeline: bursts are charged on each hop's
+// cursor in canonical (arrival bound, source, destination, flow) order
+// (DESIGN.md §11), which keeps results bit-identical across serial,
+// sharded, and any worker-count runs.
 //
 // Routing is deterministic ECMP: where multiple equal-cost paths exist
 // (fat-tree spine choice), the path is selected by a splitmix64 hash of
@@ -34,13 +37,15 @@ import (
 	"time"
 )
 
-// Link is one directed topology link with its own LogGP cost pair and a
-// serialization cursor (graph topologies only). From and To are node IDs:
-// hosts are 0..Hosts-1, switches Hosts..Hosts+Switches-1. Down links
-// (switch→host) terminate at a host node; all other links connect
-// switches. Host→switch injection is not a Link: it is charged by the
-// host port's existing egress cursor at Config.LinkByteTime and crosses
-// at Config.WireLatency, exactly as in the flat model.
+// Link is one directed graph-topology link with its own LogGP cost pair
+// and a serialization cursor, one hop of the fabric's hop pipeline. From
+// and To are node IDs: hosts are 0..Hosts-1, switches
+// Hosts..Hosts+Switches-1. Down links (switch→host) terminate at a host
+// node; all other links connect switches. Host→switch injection is not a
+// Link: it is charged by the host port's existing egress cursor at
+// Config.LinkByteTime and crosses at Config.WireLatency, exactly as in the
+// flat model. Neither is a port's ingress cursor, the zero-cost hop that
+// ends every flat-topology route.
 type Link struct {
 	// ID is the link's index in the topology (creation order).
 	ID int
@@ -59,9 +64,12 @@ type Link struct {
 	OwnerHost int
 }
 
-// Topology describes the interconnect beyond the host NICs. Construct one
-// with SingleLink, TwoLevel, NewFatTree, NewDragonfly, or ParseTopology,
-// and install it via Config.Topo. The zero value is not usable.
+// Topology describes the interconnect beyond the host NICs: the route
+// each flow's bursts hop along. Flat topologies route every flow over the
+// destination's zero-cost ingress hop; graph topologies route over their
+// links. Construct one with SingleLink, TwoLevel, NewFatTree,
+// NewDragonfly, or ParseTopology, and install it via Config.Topo. The
+// zero value is not usable.
 type Topology struct {
 	name  string
 	hosts int // 0 = unbounded (flat topologies)
@@ -164,7 +172,7 @@ func (t *Topology) PairLatency(a, b int) time.Duration {
 
 // Route returns the link IDs a flow (src, dst, flowID) traverses after
 // host injection, ending with dst's down link, or nil for flat
-// topologies (direct delivery, the original pipeline). The route is a
+// topologies (the flow's one hop is dst's ingress cursor). The route is a
 // pure function of its arguments: same inputs, same path, on any shard
 // or worker count.
 func (t *Topology) Route(src, dst int, flowID uint64) []int {

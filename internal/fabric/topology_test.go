@@ -34,12 +34,12 @@ func TestParseTopology(t *testing.T) {
 	}
 	bad := []string{
 		"mesh:k=3",
-		"fat-tree:k=3",          // odd radix
-		"fat-tree:k=4,bogus=1",  // unknown key
-		"fat-tree:k=x",          // bad int
-		"two-level:rack=0",      // no rack size
-		"dragonfly:groups=1",    // single group
-		"fat-tree:k=4,cable=5",  // missing duration unit
+		"fat-tree:k=3",         // odd radix
+		"fat-tree:k=4,bogus=1", // unknown key
+		"fat-tree:k=x",         // bad int
+		"two-level:rack=0",     // no rack size
+		"dragonfly:groups=1",   // single group
+		"fat-tree:k=4,cable=5", // missing duration unit
 		"dragonfly:groups=3,routers=2,hosts=1,global=100ns", // < 2*cable
 		"two-level:rack=2,extra=-500ns",                     // cross-rack faster than in-rack
 		"fat-tree:k=1000",                                   // beyond the link limit
@@ -121,9 +121,9 @@ func TestSingleLinkTopologyByteIdentical(t *testing.T) {
 // dragonfly topology and random (valid) latencies.
 func randomGraphTopoConfig(r *rand.Rand) (Config, error) {
 	cfg := DefaultConfig()
-	cfg.WireLatency = time.Duration(1 + r.Intn(3000)) * time.Nanosecond
-	cable := time.Duration(1 + r.Intn(2000)) * time.Nanosecond
-	down := time.Duration(1 + r.Intn(3000)) * time.Nanosecond
+	cfg.WireLatency = time.Duration(1+r.Intn(3000)) * time.Nanosecond
+	cable := time.Duration(1+r.Intn(2000)) * time.Nanosecond
+	down := time.Duration(1+r.Intn(3000)) * time.Nanosecond
 	var err error
 	if r.Intn(2) == 0 {
 		cfg.Topo, err = NewFatTree(FatTreeConfig{K: 2 * (1 + r.Intn(4)), Cable: cable, Down: down})

@@ -44,6 +44,7 @@ type Proc struct {
 // proc scheduling (Spawn, Sleep, cond wakeups, resource handoff) goes
 // through this one top-level function with the proc as the pre-bound
 // argument, so rescheduling a proc never allocates.
+//
 //partib:hotpath
 func fireDispatch(_ Time, arg any) { arg.(*Proc).dispatch() }
 
@@ -139,6 +140,7 @@ func (p *Proc) panicked(r any) {
 
 // dispatch switches to the proc's coroutine and returns when the proc
 // parks or its body ends. It runs on the engine's event loop.
+//
 //partib:hotpath
 func (p *Proc) dispatch() {
 	if p.done {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -260,10 +261,12 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 
 // TestProcCoroutinesDoNotLeak checks that dropped engines leave no parked
 // goroutine behind: Engine.Run and ShardSet.Run stop the coroutines of
-// their free shells, so the goroutine count stays flat across many serial
-// and two-shard fork-join runs.
+// their free shells, so no goroutine running this package's code outlives
+// many serial and two-shard fork-join runs. Only such goroutines are
+// counted: goroutines of the runtime or of other tests come and go on
+// their own schedule and are not this package's leak.
 func TestProcCoroutinesDoNotLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := simGoroutines()
 	for i := 0; i < 200; i++ {
 		e := NewEngine()
 		forkJoin(e, 3, 8)
@@ -281,13 +284,45 @@ func TestProcCoroutinesDoNotLeak(t *testing.T) {
 		}
 	}
 	// The fleet's workers are joined before ShardSet.Run returns but may
-	// still be on their way out.
-	after := runtime.NumGoroutine()
-	for i := 0; i < 1000 && after > before; i++ {
-		runtime.Gosched()
-		after = runtime.NumGoroutine()
+	// still be on their way out, and a loaded host can keep them off a
+	// CPU for a while: poll on a deadline rather than a fixed number of
+	// yields.
+	var extra []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		extra = extra[:0]
+		for id, stack := range simGoroutines() {
+			if _, ok := before[id]; !ok {
+				extra = append(extra, stack)
+			}
+		}
+		if len(extra) == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
-	if after > before {
-		t.Fatalf("goroutines grew from %d to %d across 250 runs", before, after)
+	if n := len(extra); n > 0 {
+		sort.Strings(extra)
+		t.Fatalf("%d goroutines running this package's code outlived 250 runs; the first:\n\n%s", n, strings.Join(extra[:min(n, 5)], "\n\n"))
 	}
+}
+
+// simGoroutines returns the stacks of the live goroutines with a frame in
+// this package, keyed by their "goroutine N" header.
+func simGoroutines() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "repro/internal/sim.") {
+			id, _, _ := strings.Cut(g, " [")
+			out[id] = g
+		}
+	}
+	return out
 }

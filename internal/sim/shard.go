@@ -367,6 +367,7 @@ func (s *ShardSet) Stats() ShardStats {
 // to at + inMin[src] (the dynamic self-cap): reactions to this post can
 // reach src no earlier than that, and nothing else bounds src when every
 // other shard is idle.
+//
 //partib:hotpath
 //partib:role producer
 func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
@@ -394,6 +395,7 @@ func (s *ShardSet) post(src, dst int, at Time, fire func(Time, any), arg any) {
 // identical run over run regardless of worker interleaving — and the
 // consumer performs only reads here, so producers appending same-hop posts
 // past the snapshots never race with it.
+//
 //partib:hotpath
 //partib:role consumer
 func (s *ShardSet) drainInto(dst int) {
@@ -426,6 +428,7 @@ func (s *ShardSet) seal(dst int) {
 // snapshots, and whatever producers appended past a snapshot slides to the
 // front for the next seal. Runs on the transition thread only, before
 // seeds are recomputed, so undelivered-post minima stay consistent.
+//
 //partib:role transition
 func (s *ShardSet) cleanupDrained() {
 	for dst := range s.engines {
@@ -479,6 +482,7 @@ func (s *ShardSet) drain() bool {
 // incoming mailboxes, run its window, publish its next-event time, and —
 // when it is the last engaged shard to finish — perform the hop
 // transition in place.
+//
 //partib:hotpath
 //partib:role consumer
 func (s *ShardSet) runShard(i int) {
@@ -502,6 +506,7 @@ func (s *ShardSet) runShard(i int) {
 // arriving late (after the transition reset the counters for the next
 // hop) either reads the zeroed gate and leaves, or reads the new bound —
 // published after the new engaged set — and simply joins the new hop.
+//
 //partib:hotpath
 //partib:role consumer
 func (s *ShardSet) claimLoop() {
@@ -521,6 +526,7 @@ func (s *ShardSet) claimLoop() {
 // undrained mailbox minima into seeds, and returns the number of shards
 // with any future firing. Runs only on the transition thread, behind the
 // finish barrier.
+//
 //partib:role transition
 func (s *ShardSet) computeSeeds() (active int) {
 	for i := range s.engines {
@@ -543,6 +549,7 @@ func (s *ShardSet) computeSeeds() (active int) {
 // chains seeded by any other shard's earliest future firing, relayed along
 // lookahead shortest paths). A shard's own future emissions are excluded
 // here and covered at run time by the dynamic self-cap in post.
+//
 //partib:role transition
 func (s *ShardSet) computeBounds() {
 	n := len(s.engines)
@@ -632,6 +639,7 @@ func (s *ShardSet) transition(afterHop bool) {
 }
 
 // runSolo executes one inline hop of shard i on the transition thread.
+//
 //partib:role transition
 func (s *ShardSet) runSolo(i int) {
 	e := s.engines[i]
@@ -657,6 +665,7 @@ func (s *ShardSet) runSolo(i int) {
 // itself, and waking more workers than there are claimable shards is
 // pure wake/park churn. Fewer awake workers than engaged shards is safe:
 // claims are work-stealing, so whoever is awake drains the surplus.
+//
 //partib:role transition
 func (s *ShardSet) releaseHop(engagedShards int) {
 	s.finished.Store(0)
