@@ -99,4 +99,4 @@ bench:
 bench-smoke:
 	cd simbench && $(GO) test ./...
 	$(call simbench,--seconds 1 --trace 0)
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sim/ ./internal/fabric/
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sim/ ./internal/fabric/ ./internal/ibv/

@@ -58,9 +58,10 @@ type Psend struct {
 	adapt *adaptiveState
 
 	// segScratch backs the one-element gather list of every posted WR.
-	// PostSend consumes the gather list synchronously (no park between
-	// filling the scratch and the post), so one scratch per request
-	// suffices and postRun allocates no slice per WR.
+	// PostSend consumes the descriptors at post (no park between filling
+	// the scratch and the post), so one scratch per request suffices and
+	// postRun allocates no slice per WR. The partition bytes themselves are
+	// read until the WR completes, which MPI_Pready already requires.
 	segScratch [1]xport.Seg
 	// wrScratch is the reusable work request postRun posts through.
 	wrScratch xport.SendWR

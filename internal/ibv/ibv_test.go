@@ -30,7 +30,7 @@ func newPair(t *testing.T, bufBytes int) *pair {
 	return newPairOn(t, e, f, bufBytes, QPConfig{})
 }
 
-func newPairOn(t *testing.T, e *sim.Engine, f *fabric.Fabric, bufBytes int, cfg QPConfig) *pair {
+func newPairOn(t testing.TB, e *sim.Engine, f *fabric.Fabric, bufBytes int, cfg QPConfig) *pair {
 	t.Helper()
 	ha := NewHCA(e, f, "node-a")
 	hb := NewHCA(e, f, "node-b")
@@ -66,7 +66,7 @@ func newPairOn(t *testing.T, e *sim.Engine, f *fabric.Fabric, bufBytes int, cfg 
 }
 
 // connect brings both QPs to RTS against each other.
-func connect(t *testing.T, a, b *QP) {
+func connect(t testing.TB, a, b *QP) {
 	t.Helper()
 	for _, qp := range []*QP{a, b} {
 		if err := qp.ToInit(); err != nil {
@@ -342,13 +342,51 @@ func TestPostSendValidation(t *testing.T) {
 		{"bad lkey", func(w *SendWR) { w.SGList = []SGE{{Addr: p.sendMR.Addr(), Length: 10, LKey: 0xffff}} }, ErrBadLKey},
 		{"sge overrun", func(w *SendWR) { w.SGList = []SGE{p.sendMR.SGEFor(1000, 100)} }, ErrMRBounds},
 		{"sge before region", func(w *SendWR) { w.SGList = []SGE{{Addr: p.sendMR.Addr() - 1, Length: 10, LKey: p.sendMR.LKey()}} }, ErrMRBounds},
+		{"good then bad lkey", func(w *SendWR) {
+			w.SGList = []SGE{p.sendMR.SGEFor(0, 10), {Addr: p.sendMR.Addr(), Length: 10, LKey: 0xffff}}
+		}, ErrBadLKey},
+		{"good then overrun", func(w *SendWR) { w.SGList = []SGE{p.sendMR.SGEFor(0, 10), p.sendMR.SGEFor(1024, 1)} }, ErrMRBounds},
 	}
 	for _, c := range cases {
 		wr := base
+		wr.Signaled = true
 		c.mut(&wr)
 		if err := p.sendQP.PostSend(wr); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
+	}
+
+	// Failed posts fail synchronously: no completion on either CQ and
+	// nothing on the wire. The recycled send context carries no stale
+	// source ranges into the next post.
+	if err := p.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.sendCQ.Len() != 0 || p.recvCQ.Len() != 0 {
+		t.Fatalf("failed posts completed: send CQ %d, recv CQ %d", p.sendCQ.Len(), p.recvCQ.Len())
+	}
+	if n := p.sendQP.pd.ctx.hca.Port().MessagesSent(); n != 0 {
+		t.Fatalf("failed posts put %d messages on the wire", n)
+	}
+	if p.sendQP.Outstanding() != 0 || p.sendQP.State() != StateRTS {
+		t.Fatalf("outstanding %d, state %v after failed posts", p.sendQP.Outstanding(), p.sendQP.State())
+	}
+	fill(p.sendBuf, 2)
+	wr := base
+	wr.SGList = []SGE{p.sendMR.SGEFor(500, 100)}
+	wr.Signaled = true
+	if err := p.sendQP.PostSend(wr); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.recvBuf[:100], p.sendBuf[500:600]) || p.recvBuf[100] != 0 {
+		t.Fatal("post after failed posts delivered the wrong bytes")
+	}
+	var wcs [1]WC
+	if n := p.sendCQ.Poll(wcs[:]); n != 1 || wcs[0].Status != StatusSuccess || wcs[0].ByteLen != 100 {
+		t.Fatalf("completion after failed posts: n=%d wc=%+v", n, wcs[0])
 	}
 }
 

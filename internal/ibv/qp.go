@@ -121,16 +121,25 @@ const (
 )
 
 // sendCtx tracks one posted send WR through the fabric. Contexts are
-// recycled per QP (see QP.takeCtx/releaseCtx): the payload buffer and the
-// deliver/ack callbacks bound to the context survive recycling, so a warm
-// QP posts WRs without allocating.
+// recycled per QP (see QP.takeCtx/releaseCtx): the views and payload
+// buffers and the deliver/ack callbacks bound to the context survive
+// recycling, so a warm QP posts WRs without allocating.
 type sendCtx struct {
-	qp      *QP
-	wr      SendWR
+	qp *QP
+	// wr is the posted request with its gather list dropped: PostSend
+	// consumes the descriptors into views, as an HCA copies them into the
+	// WQE, so the caller may reuse its SGE slice as soon as post returns.
+	wr SendWR
+	// views are the local MR ranges the gather list resolved to at post.
+	// A non-inline RDMA write reads them at delivery (the one payload
+	// copy); an RDMA read scatters its response into them.
+	views [][]byte
+	// payload is the post-time snapshot of an inline or SEND gather list.
 	payload []byte
-	// readBytes is the request length for RDMA reads.
-	readBytes int
-	status    Status
+	// length is the WR's total gather length: the fabric message size,
+	// the remote range, and the completion's ByteLen.
+	length int
+	status Status
 	// deliverFn/ackFn are the fabric callbacks for the common (write/send)
 	// path, built once per context and reused across recycles.
 	deliverFn func(sim.Time)
@@ -172,12 +181,14 @@ func (qp *QP) takeCtx() *sendCtx {
 }
 
 // releaseCtx returns a context whose completion has been pushed to the
-// free list. The payload backing array is kept for reuse; the WR is
-// cleared so gather-list references can be collected.
+// free list. The views and payload backing arrays are kept for reuse; the
+// views are cleared so the regions they reference can be collected.
 func (qp *QP) releaseCtx(ctx *sendCtx) {
 	ctx.wr = SendWR{}
+	clear(ctx.views)
+	ctx.views = ctx.views[:0]
 	ctx.payload = ctx.payload[:0]
-	ctx.readBytes = 0
+	ctx.length = 0
 	ctx.status = StatusSuccess
 	qp.ctxFree = append(qp.ctxFree, ctx)
 }
@@ -324,8 +335,12 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 func (qp *QP) RecvQueueLen() int { return len(qp.rq) }
 
 // PostSend posts a send work request, as ibv_post_send does. The gather
-// list is read immediately (partition data must be final when the WR is
-// posted, which MPI_Pready guarantees in the layer above).
+// list is validated and consumed before PostSend returns, so the caller
+// may reuse wr.SGList at once. The source bytes are another matter: an
+// inline or SEND payload is copied at post, but a non-inline RDMA write
+// reads its source regions when it is delivered, so they must stay
+// untouched until the WR completes — the rule ibv_post_send and
+// MPI_Pready already impose.
 func (qp *QP) PostSend(wr SendWR) error {
 	if qp.state != StateRTS {
 		return ErrBadState
@@ -351,28 +366,21 @@ func (qp *QP) PostSend(wr SendWR) error {
 		return ErrInlineTooLarge
 	}
 	ctx := qp.takeCtx()
-	if wr.Opcode == OpRDMARead {
-		// Validate the local scatter list now; data arrives later.
-		for _, sge := range wr.SGList {
-			if _, err := qp.pd.resolveSGE(sge); err != nil {
-				qp.releaseCtx(ctx)
-				return err
-			}
+	for _, sge := range wr.SGList {
+		b, err := qp.pd.resolveSGE(sge)
+		if err != nil {
+			qp.releaseCtx(ctx)
+			return err
 		}
-		ctx.payload = ctx.payload[:0]
-	} else {
-		payload := ctx.payload[:0]
-		for _, sge := range wr.SGList {
-			b, err := qp.pd.resolveSGE(sge)
-			if err != nil {
-				qp.releaseCtx(ctx)
-				return err
-			}
-			payload = append(payload, b...)
-		}
-		ctx.payload = payload
+		ctx.views = append(ctx.views, b)
 	}
-	ctx.wr, ctx.readBytes, ctx.status = wr, total, StatusSuccess
+	if wr.Inline || wr.Opcode == OpSend {
+		for _, b := range ctx.views {
+			ctx.payload = append(ctx.payload, b...)
+		}
+	}
+	wr.SGList = nil
+	ctx.wr, ctx.length, ctx.status = wr, total, StatusSuccess
 	qp.sqLen++
 	if qp.inFlight < qp.cfg.MaxOutstanding {
 		qp.dispatch(ctx)
@@ -420,7 +428,7 @@ func (qp *QP) dispatch(ctx *sendCtx) {
 	// The context's pre-bound callbacks avoid two closure allocations per
 	// posted WR on the write/send fast path.
 	qp.flow.Send(fabric.Message{
-		Bytes:     len(ctx.payload),
+		Bytes:     ctx.length,
 		Inline:    ctx.wr.Inline,
 		OnDeliver: ctx.deliverFn,
 		OnAck:     ctx.ackFn,
@@ -456,7 +464,7 @@ func (qp *QP) readRemote(ctx *sendCtx) ([]byte, bool) {
 		remote.toError()
 		return nil, false
 	}
-	src, ok := mr.slice(ctx.wr.RemoteAddr, ctx.readBytes)
+	src, ok := mr.slice(ctx.wr.RemoteAddr, ctx.length)
 	if !ok {
 		ctx.status = StatusRemAccessErr
 		remote.toError()
@@ -465,16 +473,11 @@ func (qp *QP) readRemote(ctx *sendCtx) ([]byte, bool) {
 	return append([]byte(nil), src...), true
 }
 
-// scatterRead places a read response into the local gather list.
+// scatterRead places a read response into the local ranges the gather
+// list resolved to at post.
 func (qp *QP) scatterRead(ctx *sendCtx, data []byte) {
-	off := 0
-	for _, sge := range ctx.wr.SGList {
-		b, err := qp.pd.resolveSGE(sge)
-		if err != nil {
-			ctx.status = StatusLocProtErr
-			return
-		}
-		off += copy(b, data[off:])
+	for _, b := range ctx.views {
+		data = data[copy(b, data):]
 	}
 }
 
@@ -493,13 +496,22 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 			remote.toError()
 			return
 		}
-		dst, ok := mr.slice(ctx.wr.RemoteAddr, len(ctx.payload))
+		dst, ok := mr.slice(ctx.wr.RemoteAddr, ctx.length)
 		if !ok {
 			ctx.status = StatusRemAccessErr
 			remote.toError()
 			return
 		}
-		copy(dst, ctx.payload)
+		if ctx.wr.Inline {
+			copy(dst, ctx.payload)
+		} else {
+			// The one payload copy: straight from the sender's registered
+			// source ranges, which the sender may not touch before this
+			// WR's completion (DESIGN.md §11).
+			for _, b := range ctx.views {
+				dst = dst[copy(dst, b):]
+			}
+		}
 		if ctx.wr.Opcode == OpRDMAWriteImm {
 			rwr, ok := remote.consumeRecv()
 			if !ok {
@@ -511,7 +523,7 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 				WRID:    rwr.WRID,
 				Status:  StatusSuccess,
 				Opcode:  WCRecvRDMAWithImm,
-				ByteLen: len(ctx.payload),
+				ByteLen: ctx.length,
 				Imm:     ctx.wr.Imm,
 				HasImm:  true,
 				QPN:     remote.qpn,
@@ -532,7 +544,7 @@ func (qp *QP) deliver(ctx *sendCtx, _ sim.Time) {
 			WRID:    rwr.WRID,
 			Status:  StatusSuccess,
 			Opcode:  WCRecv,
-			ByteLen: len(ctx.payload),
+			ByteLen: ctx.length,
 			QPN:     remote.qpn,
 		})
 	default:
@@ -598,7 +610,7 @@ func (qp *QP) acked(ctx *sendCtx) {
 			WRID:    ctx.wr.WRID,
 			Status:  StatusSuccess,
 			Opcode:  sendWCOpcode(ctx.wr.Opcode),
-			ByteLen: len(ctx.payload),
+			ByteLen: ctx.length,
 			QPN:     qp.qpn,
 		})
 	}

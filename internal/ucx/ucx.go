@@ -277,8 +277,8 @@ type endpoint struct {
 	recvWRs []xport.RecvWR
 
 	// wrScratch is the reusable send work request: providers consume the
-	// WR synchronously at post time, so one in-progress post per endpoint
-	// never aliases.
+	// WR and its gather list at post time (the source bytes they read until
+	// completion), so one in-progress post per endpoint never aliases.
 	wrScratch xport.SendWR
 
 	// pending holds sends deferred on wireup, staging or credit

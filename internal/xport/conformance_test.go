@@ -429,3 +429,100 @@ func TestConformanceCompletionOrdering(t *testing.T) {
 		}
 	})
 }
+
+func TestConformanceReadFetchesRemote(t *testing.T) {
+	forEachProvider(t, func(t *testing.T, f *fixture) {
+		const n = 3000
+		local := make([]byte, 4096)
+		remote := make([]byte, 4096)
+		for i := range remote {
+			remote[i] = byte(i*5 + 1)
+		}
+		lmr := regMem(t, f.pv0, local)
+		rmr := regMem(t, f.pv1, remote)
+
+		var comps []xport.Completion
+		ep0 := newEP(t, f.pv0, xport.EndpointConfig{
+			OnCompletion: func(p *sim.Proc, c xport.Completion) { comps = append(comps, c) },
+		})
+		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
+		connectPair(t, ep0, ep1)
+
+		// Two scatter elements, so the response is split across them.
+		if err := ep0.PostSend(&xport.SendWR{
+			WRID:       5,
+			Op:         xport.OpRead,
+			Segs:       []xport.Seg{{Mem: lmr, Off: 0, Len: 1000}, {Mem: lmr, Off: 2000, Len: n - 1000}},
+			RemoteAddr: rmr.Addr() + 64,
+			RKey:       rmr.RKey(),
+			Signaled:   true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
+			if r.ID() == 0 {
+				r.WaitOn(p, func() bool { return len(comps) == 1 })
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := comps[0]
+		if c.WRID != 5 || !c.OK() || c.Op != xport.CompRead || c.Bytes != n {
+			t.Fatalf("read completion %+v, want WRID 5, READ, %d bytes", c, n)
+		}
+		if !bytes.Equal(local[:1000], remote[64:1064]) || !bytes.Equal(local[2000:4000], remote[1064:3064]) {
+			t.Fatal("read data did not land in the scatter list")
+		}
+	})
+}
+
+// The gather list belongs to the caller again the moment PostSend
+// returns: rewriting its Segs must not change what lands remotely.
+func TestConformanceSegsReusableAfterPost(t *testing.T) {
+	forEachProvider(t, func(t *testing.T, f *fixture) {
+		src := make([]byte, 4096)
+		for i := range src {
+			src[i] = byte(i*3 + 7)
+		}
+		dst := make([]byte, 2048)
+		smr := regMem(t, f.pv0, src)
+		dmr := regMem(t, f.pv1, dst)
+
+		done := 0
+		ep0 := newEP(t, f.pv0, xport.EndpointConfig{
+			OnCompletion: func(p *sim.Proc, c xport.Completion) {
+				if !c.OK() {
+					t.Errorf("completion %+v", c)
+				}
+				done++
+			},
+		})
+		ep1 := newEP(t, f.pv1, xport.EndpointConfig{OnCompletion: noComp})
+		connectPair(t, ep0, ep1)
+
+		segs := []xport.Seg{{Mem: smr, Off: 0, Len: 1024}, {Mem: smr, Off: 1024, Len: 1024}}
+		if err := ep0.PostSend(&xport.SendWR{
+			Op:         xport.OpWrite,
+			Segs:       segs,
+			RemoteAddr: dmr.Addr(),
+			RKey:       dmr.RKey(),
+			Signaled:   true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		segs[0] = xport.Seg{Mem: smr, Off: 2048, Len: 1024}
+		segs[1] = xport.Seg{Mem: smr, Off: 3072, Len: 1024}
+		err := f.w.Run(func(p *sim.Proc, r *mpi.Rank) {
+			if r.ID() == 0 {
+				r.WaitOn(p, func() bool { return done == 1 })
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, src[:2048]) {
+			t.Fatal("remote received the rewritten Segs' bytes, not the posted ones")
+		}
+	})
+}

@@ -9,9 +9,12 @@
 // The provider implements the full verbs-like op set (send, RDMA write,
 // write-with-immediate, RDMA read) so the UCX-like messenger rides it
 // without modification. Transfers serialize per source endpoint (one
-// memory channel per connection), payloads are gathered synchronously at
-// post time like the device DMA snapshot, and completions queue in the
-// provider until the host's progress engine drains them.
+// memory channel per connection) and completions queue in the provider
+// until the host's progress engine drains them. Gather lists follow the
+// verbs device: the segments are validated and consumed at post, SEND and
+// inline payloads are copied at post, and a non-inline write reads its
+// source regions when its copy lands, so they must stay untouched until
+// the write completes.
 package shm
 
 import (
@@ -190,10 +193,15 @@ func (m *mem) Dereg() error {
 
 // sendOp is one posted send-side work request.
 type sendOp struct {
-	wrid     uint64
-	op       xport.Op
-	payload  []byte // gathered snapshot for send/write ops
-	segs     []xport.Seg
+	wrid uint64
+	op   xport.Op
+	// payload is the post-time snapshot of a SEND or inline gather list.
+	payload []byte
+	// views are the validated local ranges of the gather list: a
+	// non-inline write copies them out at completion, a read fills them.
+	views [][]byte
+	// length is the total gather length.
+	length   int
 	remote   uint64
 	rkey     uint32
 	imm      uint32
@@ -278,9 +286,9 @@ func (ep *endpoint) checkSegs(segs []xport.Seg) (total int, err error) {
 	return total, nil
 }
 
-// PostSend posts a send-side work request. Payloads of send/write ops are
-// gathered synchronously (the DMA-snapshot semantics callers rely on for
-// scratch-buffer reuse).
+// PostSend posts a send-side work request. The gather list is consumed
+// before return; SEND and inline payloads are copied now, a non-inline
+// write's source bytes when the transfer lands.
 func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	if ep.peer == nil {
 		return fmt.Errorf("%w: shm endpoint has no peer", xport.ErrNotConnected)
@@ -303,18 +311,20 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	op := &sendOp{
 		wrid:     wr.WRID,
 		op:       wr.Op,
+		views:    make([][]byte, len(wr.Segs)),
+		length:   total,
 		remote:   wr.RemoteAddr,
 		rkey:     wr.RKey,
 		imm:      wr.Imm,
 		signaled: wr.Signaled,
 	}
-	if wr.Op == xport.OpRead {
-		// Reads scatter on completion; retain the (validated) list.
-		op.segs = append([]xport.Seg(nil), wr.Segs...)
-	} else {
+	for i, s := range wr.Segs {
+		op.views[i] = s.Mem.Bytes()[s.Off : s.Off+s.Len]
+	}
+	if wr.Op == xport.OpSend || wr.Inline {
 		op.payload = make([]byte, 0, total)
-		for _, s := range wr.Segs {
-			op.payload = append(op.payload, s.Mem.Bytes()[s.Off:s.Off+s.Len]...)
+		for _, b := range op.views {
+			op.payload = append(op.payload, b...)
 		}
 	}
 	if ep.inflight < ep.maxOutstanding {
@@ -334,14 +344,7 @@ func (ep *endpoint) launch(op *sendOp) {
 	if start < ep.busyUntil {
 		start = ep.busyUntil
 	}
-	n := len(op.payload)
-	if op.op == xport.OpRead {
-		n = 0
-		for _, s := range op.segs {
-			n += s.Len
-		}
-	}
-	done := start.Add(xferCost(n))
+	done := start.Add(xferCost(op.length))
 	ep.busyUntil = done
 	e.At(done, func() { ep.complete(op) })
 }
@@ -351,34 +354,35 @@ func (ep *endpoint) complete(op *sendOp) {
 	ep.inflight--
 	switch op.op {
 	case xport.OpSend:
-		ep.peer.deliver(arrival{src: ep, op: op, payload: op.payload, bytes: len(op.payload)})
+		ep.peer.deliver(arrival{src: ep, op: op, payload: op.payload, bytes: op.length})
 	case xport.OpWrite, xport.OpWriteImm:
-		dst, off, err := ep.peer.pv.resolve(op.remote, op.rkey, len(op.payload))
+		dst, off, err := ep.peer.pv.resolve(op.remote, op.rkey, op.length)
 		if err != nil {
 			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusRemAccessErr, Op: xport.CompWrite})
 			break
 		}
-		copy(dst.buf[off:], op.payload)
+		if op.payload != nil {
+			copy(dst.buf[off:], op.payload)
+		} else {
+			for _, b := range op.views {
+				off += copy(dst.buf[off:], b)
+			}
+		}
 		if op.op == xport.OpWriteImm {
-			ep.peer.deliver(arrival{src: ep, op: op, bytes: len(op.payload), imm: op.imm, hasImm: true})
+			ep.peer.deliver(arrival{src: ep, op: op, bytes: op.length, imm: op.imm, hasImm: true})
 		} else if op.signaled {
-			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompWrite, Bytes: len(op.payload)})
+			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompWrite, Bytes: op.length})
 		}
 	case xport.OpRead:
-		n := 0
-		for _, s := range op.segs {
-			n += s.Len
-		}
-		src, off, err := ep.peer.pv.resolve(op.remote, op.rkey, n)
+		src, off, err := ep.peer.pv.resolve(op.remote, op.rkey, op.length)
 		if err != nil {
 			ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusRemAccessErr, Op: xport.CompRead})
 			break
 		}
-		for _, s := range op.segs {
-			copy(s.Mem.Bytes()[s.Off:s.Off+s.Len], src.buf[off:off+s.Len])
-			off += s.Len
+		for _, b := range op.views {
+			off += copy(b, src.buf[off:])
 		}
-		ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompRead, Bytes: n})
+		ep.pv.push(ep, xport.Completion{WRID: op.wrid, Status: xport.StatusSuccess, Op: xport.CompRead, Bytes: op.length})
 	}
 	ep.pump()
 }

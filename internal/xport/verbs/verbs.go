@@ -210,10 +210,9 @@ func sendOpcodeOf(op xport.Op) (ibv.Opcode, error) {
 type endpoint struct {
 	qp     *ibv.QP
 	onComp func(p *sim.Proc, c xport.Completion)
-	// sgeBuf is the reusable gather-list conversion scratch for non-read
-	// sends: the device snapshots the payload synchronously at post time,
-	// so the converted SGEs need not outlive PostSend. Reads retain their
-	// gather list until the response lands and get a fresh slice.
+	// sgeBuf is the reusable gather-list conversion scratch: the device
+	// consumes the descriptors at post time (the source bytes it reads
+	// until completion), so the converted SGEs need not outlive PostSend.
 	sgeBuf []ibv.SGE
 }
 
@@ -239,15 +238,10 @@ func (ep *endpoint) PostSend(wr *xport.SendWR) error {
 	if err != nil {
 		return err
 	}
-	var sges []ibv.SGE
-	if wr.Op == xport.OpRead {
-		sges = make([]ibv.SGE, len(wr.Segs))
-	} else {
-		if cap(ep.sgeBuf) < len(wr.Segs) {
-			ep.sgeBuf = make([]ibv.SGE, len(wr.Segs))
-		}
-		sges = ep.sgeBuf[:len(wr.Segs)]
+	if cap(ep.sgeBuf) < len(wr.Segs) {
+		ep.sgeBuf = make([]ibv.SGE, len(wr.Segs))
 	}
+	sges := ep.sgeBuf[:len(wr.Segs)]
 	for i, s := range wr.Segs {
 		mr, ok := s.Mem.(*ibv.MR)
 		if !ok {

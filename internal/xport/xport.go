@@ -269,7 +269,12 @@ type Endpoint interface {
 	// Connect binds the endpoint to the remote endpoint described by
 	// remote and transitions it to ready (verbs RTR+RTS).
 	Connect(remote Desc) error
-	// PostSend posts a send-side work request.
+	// PostSend posts a send-side work request. The provider consumes wr
+	// and its Segs before returning, so both may be reused at once. The
+	// bytes the Segs describe are read until the send completes: the
+	// caller must leave them untouched until its completion arrives,
+	// unless wr.Inline, whose payload is copied at post — the rule
+	// ibv_post_send and MPI_Pready already impose.
 	PostSend(wr *SendWR) error
 	// PostRecv posts a receive-side work request (see RecvWR on reuse).
 	PostRecv(wr *RecvWR) error
