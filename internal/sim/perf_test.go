@@ -188,6 +188,59 @@ func TestAtCallSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// oooState drives TestOutOfOrderSteadyStateZeroAllocs: each fired event
+// spends one of kids on a child 450ns later, which lands in the middle of
+// the tick being drained.
+type oooState struct {
+	e       *Engine
+	kids    int
+	maxSide int
+}
+
+func oooFire(now Time, arg any) {
+	s := arg.(*oooState)
+	if s.kids > 0 {
+		s.kids--
+		s.e.AtCall(now+450, oooFire, s)
+	}
+	if n := len(s.e.side); n > s.maxSide {
+		s.maxSide = n
+	}
+}
+
+// TestOutOfOrderSteadyStateZeroAllocs is the allocation regression gate on
+// the out-of-order queue paths: with a warm free list, events appended out
+// of order to a future tick (a dirty bucket, sorted when the cursor reaches
+// it) and inserted into the middle of the tick being drained (the side
+// heap) allocate nothing.
+func TestOutOfOrderSteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	s := &oooState{e: e}
+	dirtied := false
+	round := func() {
+		// An event on the next tick anchors the window (and the cursor)
+		// short of tk, so tk's out-of-order appends dirty its bucket.
+		e.AtCall(e.Now()+1, benchNop, nil)
+		tk := tickOf(e.Now()) + 4
+		base := Time(tk << bucketShift)
+		for _, off := range []Time{900, 100, 1500, 500, 1200, 300} {
+			e.AtCall(base+off, oooFire, s)
+		}
+		dirtied = dirtied || e.dirty[tk&bucketMask]
+		s.kids = 3
+		if err := e.RunUntil(base + 2047); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the free list
+	if !dirtied || s.maxSide == 0 {
+		t.Fatalf("round did not exercise the queue paths: dirty bucket %v, peak side heap %d", dirtied, s.maxSide)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("out-of-order schedule+fire allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestProcSwitchSteadyStateZeroAllocs is the allocation regression gate on
 // proc switching: spawning a proc on a recycled shell, dispatching it,
 // parking it in Sleep and letting it exit allocates nothing. RunUntil keeps

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -16,10 +18,9 @@ func benchTimerNop() {}
 
 // benchScheduleFire keeps a fixed backlog of in-flight events and, per
 // iteration, schedules one event at now+delta (cycling through deltas)
-// and fires the oldest.
-func benchScheduleFire(b *testing.B, deltas []time.Duration) {
+// and fires the earliest.
+func benchScheduleFire(b *testing.B, backlog int, deltas []time.Duration) {
 	e := NewEngine()
-	const backlog = 64
 	for i := 0; i < backlog; i++ {
 		e.AtCall(e.Now().Add(deltas[i%len(deltas)]), benchNop, nil)
 	}
@@ -37,7 +38,7 @@ func benchScheduleFire(b *testing.B, deltas []time.Duration) {
 // BenchmarkScheduleFireNear exercises the bucket tier: every event lands
 // a few ticks ahead of the clock, inside the calendar window.
 func BenchmarkScheduleFireNear(b *testing.B) {
-	benchScheduleFire(b, []time.Duration{2 * time.Microsecond})
+	benchScheduleFire(b, 64, []time.Duration{2 * time.Microsecond})
 }
 
 // BenchmarkScheduleFireFar exercises the far-heap tier: every event lands
@@ -45,18 +46,39 @@ func BenchmarkScheduleFireNear(b *testing.B) {
 // each one is pushed onto the 4-ary heap and later migrated into the
 // window by refill.
 func BenchmarkScheduleFireFar(b *testing.B) {
-	benchScheduleFire(b, []time.Duration{4 * time.Millisecond})
+	benchScheduleFire(b, 64, []time.Duration{4 * time.Millisecond})
 }
 
 // BenchmarkScheduleFireMixed interleaves all three tiers: same-instant
 // ring hits, in-window bucket inserts, and far-heap overflows.
 func BenchmarkScheduleFireMixed(b *testing.B) {
-	benchScheduleFire(b, []time.Duration{
+	benchScheduleFire(b, 64, []time.Duration{
 		0,
 		2 * time.Microsecond,
 		30 * time.Microsecond,
 		4 * time.Millisecond,
 	})
+}
+
+// BenchmarkScheduleFireJitter is the out-of-order pattern of jittered
+// compute sleeps and link charges: every event lands a uniformly random
+// delta in [0, span) ahead of the clock, so inserts hit the middle of the
+// tick being drained (4us span, side heap) or of future ticks (40us span,
+// dirty buckets sorted at dispatch). The deltas come from a fixed seed and
+// are drawn before the timer starts.
+func BenchmarkScheduleFireJitter(b *testing.B) {
+	for _, backlog := range []int{256, 1024} {
+		for _, span := range []time.Duration{4 * time.Microsecond, 40 * time.Microsecond} {
+			rng := rand.New(rand.NewSource(1))
+			deltas := make([]time.Duration, 4096)
+			for i := range deltas {
+				deltas[i] = time.Duration(rng.Int63n(int64(span)))
+			}
+			b.Run(fmt.Sprintf("backlog=%d/span=%dus", backlog, span/time.Microsecond), func(b *testing.B) {
+				benchScheduleFire(b, backlog, deltas)
+			})
+		}
+	}
 }
 
 // BenchmarkTimerStopStart measures the AfterFunc+Stop cycle. Stop is lazy

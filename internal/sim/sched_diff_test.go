@@ -14,8 +14,8 @@ import (
 // operations, and after every operation the fire log (event id and
 // timestamp, in order), Pending(), and Now() must match exactly. The
 // reference model is the pre-calendar-queue design, so any divergence in
-// ordering (FIFO seq tie-break across the ring, buckets, and far heap),
-// lazy cancellation accounting, or clock advancement is caught here.
+// ordering (FIFO seq tie-break across the ring, buckets, side heap and far
+// heap), lazy cancellation accounting, or clock advancement is caught here.
 
 // refItem is one scheduled event in the reference model.
 type refItem struct {
@@ -62,15 +62,30 @@ func diffChildren(id int, budget *int) []time.Duration {
 	case 0:
 		*budget--
 		return []time.Duration{0} // same instant: ring tier
+	case 1:
+		// Sub-tick and out of order: the second child lands in the tick
+		// being drained behind its later sibling (side heap).
+		*budget--
+		return []time.Duration{700 * time.Nanosecond, 300 * time.Nanosecond}
 	case 2:
 		*budget--
 		return []time.Duration{1500 * time.Nanosecond} // near: bucket tier
+	case 3:
+		// Out of order into the next ticks: dirty buckets, sorted when
+		// the cursor reaches them.
+		*budget--
+		return []time.Duration{5 * time.Microsecond, 2500 * time.Nanosecond, 4 * time.Microsecond}
 	case 4:
 		*budget--
 		return []time.Duration{0, 900 * time.Microsecond} // ring + far heap
 	}
 	return nil
 }
+
+// diffCancelled is the shared rule for children their parent cancels right
+// after scheduling them, leaving husks in every tier (the side heap
+// included) for the lazy-cancel paths to drop.
+func diffCancelled(cid int) bool { return cid%5 == 0 }
 
 // refModel is the reference scheduler.
 type refModel struct {
@@ -146,6 +161,9 @@ func (m *refModel) fire(it *refItem) {
 		cid := *m.nextID
 		*m.nextID++
 		m.schedule(cid, m.now.Add(d))
+		if diffCancelled(cid) {
+			m.cancel(cid)
+		}
 	}
 }
 
@@ -156,6 +174,10 @@ type engSide struct {
 	log    []firedRec
 	nextID *int
 	budget int
+	// kids lists the ids of callback-scheduled children in creation
+	// order. The reference creates the same ids in the same order while
+	// the fire logs agree, so cancels may target them on both sides.
+	kids []int
 }
 
 func (s *engSide) schedule(id int, d time.Duration) {
@@ -170,6 +192,10 @@ func (s *engSide) onFire(id int) {
 		d := d
 		cidCopy := cid
 		s.timers[cid] = s.e.AfterFunc(d, func() { s.onFire(cidCopy) })
+		s.kids = append(s.kids, cid)
+		if diffCancelled(cid) {
+			s.timers[cid].Stop()
+		}
 	}
 }
 
@@ -195,6 +221,15 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 
 	var ids []int // all ids ever scheduled from the top level, for cancel targeting
 	nextID := 0
+	// pick draws a cancel target among the top-level ids and the
+	// callback-scheduled children.
+	pick := func() int {
+		n := rng.Intn(len(ids) + len(eng.kids))
+		if n < len(ids) {
+			return ids[n]
+		}
+		return eng.kids[n-len(ids)]
+	}
 
 	// delta draws a scheduling offset that exercises every tier: the
 	// same-instant ring (0), in-window bucket ticks, the window edge,
@@ -253,7 +288,7 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 			if len(ids) == 0 {
 				continue
 			}
-			id := ids[rng.Intn(len(ids))]
+			id := pick()
 			got := eng.timers[id].Stop()
 			want := ref.cancel(id)
 			if got != want {
@@ -264,7 +299,7 @@ func runSchedulerDifferential(t *testing.T, seed int64, ops int) {
 			if len(ids) == 0 {
 				continue
 			}
-			id := ids[rng.Intn(len(ids))]
+			id := pick()
 			got := eng.timers[id].Stop()
 			want := ref.cancel(id)
 			if got != want {

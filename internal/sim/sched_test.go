@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -208,4 +209,163 @@ func TestProcShellRecycle(t *testing.T) {
 	if first.next != nil {
 		t.Fatal("second Run returned with the free shell's coroutine still running")
 	}
+}
+
+// recordAt returns a callback that appends the engine's clock to *log.
+func recordAt(e *Engine, log *[]Time) func() {
+	return func() { *log = append(*log, e.Now()) }
+}
+
+// checkFireOrder fails unless log holds exactly want, in order.
+func checkFireOrder(t *testing.T, log, want []Time) {
+	t.Helper()
+	if !slices.Equal(log, want) {
+		t.Fatalf("fired at %v, want %v", log, want)
+	}
+}
+
+// TestSideHeapPullBack fills the side heap of a tick the cursor reached
+// ahead of the clock, then schedules an event on an earlier tick: the
+// cursor pull-back must return the side heap to the tick's chain, mark it
+// dirty, and still fire everything in order.
+func TestSideHeapPullBack(t *testing.T) {
+	e := NewEngine()
+	var log []Time
+	rec := recordAt(e, &log)
+	base := Time(10 << bucketShift)
+	e.At(1, rec) // anchors the window at tick 0
+	e.At(base+100, rec)
+	e.At(base+300, rec)
+	// RunUntil leaves the cursor on tick 10 with the clock at 5µs.
+	if err := e.RunUntil(Time(5 * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.At(base+200, rec) // neither head nor tail of the cursor's chain
+	if len(e.side) != 1 {
+		t.Fatalf("side heap holds %d events, want 1", len(e.side))
+	}
+	e.After(time.Microsecond, rec) // tick 2: pulls the cursor back
+	if len(e.side) != 0 || !e.dirty[10] || e.cursor != 2 {
+		t.Fatalf("after pull-back: side %d, dirty[10] %v, cursor %d; want 0, true, 2",
+			len(e.side), e.dirty[10], e.cursor)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkFireOrder(t, log, []Time{1, Time(6 * time.Microsecond), base + 100, base + 200, base + 300})
+}
+
+// TestSideHeapHuskChain cancels every event of the cursor tick's chain
+// while the side heap holds the tick's only live event: the drain must
+// drop the husks, promote the side top into the emptied chain, and keep
+// appending behind it.
+func TestSideHeapHuskChain(t *testing.T) {
+	e := NewEngine()
+	var log []Time
+	rec := recordAt(e, &log)
+	base := Time(10 << bucketShift)
+	e.At(1, rec)
+	head := e.AfterFunc(time.Duration(base+100), rec)
+	tail := e.AfterFunc(time.Duration(base+300), rec)
+	if err := e.RunUntil(Time(5 * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.At(base+200, rec)
+	head.Stop()
+	tail.Stop()
+	if err := e.RunUntil(Time(6 * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if h := e.buckets[10]; h == nil || h.at != base+200 || e.tails[10] != h || len(e.side) != 0 {
+		t.Fatalf("chain head %v, side %d; want the event at %v alone in the chain", h, len(e.side), base+200)
+	}
+	e.At(base+250, rec)
+	e.After(time.Microsecond, rec) // pulls the cursor back
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkFireOrder(t, log, []Time{1, Time(7 * time.Microsecond), base + 200, base + 250})
+}
+
+// TestSideHeapReanchor fills the side heap of the window's first tick and
+// then inserts below the anchor, twice: once close enough that the bucketed
+// events stay in the new window, once so far below that they spill to the
+// far heap. Both re-anchors must carry the side heap's event along.
+func TestSideHeapReanchor(t *testing.T) {
+	e := NewEngine()
+	var log []Time
+	rec := recordAt(e, &log)
+	base := Time(tickOf(Time(10*time.Millisecond)) << bucketShift)
+	e.At(base+100, rec) // anchors the window, and the cursor, at base's tick
+	e.At(base+300, rec)
+	e.At(base+200, rec)
+	if len(e.side) != 1 {
+		t.Fatalf("side heap holds %d events, want 1", len(e.side))
+	}
+	near := base - Time(100*time.Microsecond)
+	e.At(near, rec) // within one window of base: events stay bucketed
+	if len(e.side) != 0 || len(e.far) != 0 {
+		t.Fatalf("after near re-anchor: side %d, far %d; want 0, 0", len(e.side), len(e.far))
+	}
+	e.At(near+50, rec) // tail of the new cursor's chain
+	e.At(near+10, rec) // neither head nor tail: side heap
+	e.At(near+30, rec) // neither head nor tail: side heap
+	if len(e.side) != 2 {
+		t.Fatalf("side heap holds %d events, want 2", len(e.side))
+	}
+	e.At(Time(time.Millisecond), rec) // far below: base's tick spills to far
+	if len(e.side) != 0 || len(e.far) == 0 {
+		t.Fatalf("after far re-anchor: side %d, far %d; want 0, >0", len(e.side), len(e.far))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkFireOrder(t, log, []Time{Time(time.Millisecond), near, near + 10, near + 30, near + 50,
+		base + 100, base + 200, base + 300})
+}
+
+// TestSideHeapRefill leaves a live and a cancelled event in the side heap
+// with the rest of the queue in the far heap: the drain must dispatch the
+// live one, drop the husk before the cursor leaves the tick, and refill the
+// window from the far heap with nothing left behind.
+func TestSideHeapRefill(t *testing.T) {
+	e := NewEngine()
+	var log []Time
+	rec := recordAt(e, &log)
+	base := Time(tickOf(Time(time.Millisecond)) << bucketShift)
+	e.At(base+100, rec)
+	e.At(base+400, rec)
+	e.At(base+200, rec)
+	husk := e.AfterFunc(time.Duration(base+300), rec) // the clock is at zero
+	if len(e.side) != 2 {
+		t.Fatalf("side heap holds %d events, want 2", len(e.side))
+	}
+	husk.Stop()
+	far := base + Time(5*time.Millisecond)
+	e.At(far, rec)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkFireOrder(t, log, []Time{base + 100, base + 200, base + 400, far})
+	if e.nbucket != 0 || len(e.side) != 0 || e.Pending() != 0 || len(e.free) != 5 {
+		t.Fatalf("after drain: nbucket %d, side %d, pending %d, free %d; want 0, 0, 0, 5",
+			e.nbucket, len(e.side), e.Pending(), len(e.free))
+	}
+}
+
+// TestClockNeverRunsBackwards checks the monotone-clock assertion: a
+// queue that hands back an event before now panics instead of reordering
+// the simulation.
+func TestClockNeverRunsBackwards(t *testing.T) {
+	e := NewEngine()
+	e.At(Time(time.Microsecond), func() {})
+	if !e.Step() {
+		t.Fatal("no event fired")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dispatching an event before now did not panic")
+		}
+	}()
+	e.fireEvent(&event{at: 1, fn: func() {}})
 }

@@ -105,11 +105,15 @@ func (e *DeadlockError) Error() string {
 //   - buckets: a ring of numBuckets per-tick buckets covering the near
 //     window [anchor, anchor+numBuckets) ticks. Each bucket is an
 //     intrusive chain through the events themselves (no per-slot slice
-//     storage, so steady state touches no allocator at all), kept sorted
-//     by (at, seq): dispatch pops the chain head in O(1), and insertion
-//     is an O(1) tail append for the dominant in-order patterns (bursts
-//     of same-instant wakeups, monotone LogGP step trains, refill
-//     migration) with a bounded in-chain walk otherwise.
+//     storage, so steady state touches no allocator at all), and no insert
+//     ever walks it: an event that does not precede the tail is appended,
+//     one that precedes the head is prepended (both keep the chain sorted
+//     by (at, seq)), and any other is appended and marks the bucket dirty.
+//     When the drain cursor reaches a dirty bucket, next sorts its chain
+//     once. Inserts into the tick being drained that are neither tail nor
+//     head go to side, a 4-ary min-heap, and dispatch takes the smaller of
+//     the chain head and the side top. This is a ladder queue's discipline:
+//     unsorted rungs, ordered lazily at dequeue.
 //   - far: a monomorphic 4-ary min-heap ordered by (at, seq) for events
 //     beyond the window; they migrate into the buckets in batches when
 //     the window drains and re-anchors (refill).
@@ -145,14 +149,19 @@ type Engine struct {
 	ringH *event
 	ringT *event
 
-	// Tier 1: near-window calendar buckets (FIFO chain head/tail plus an
-	// occupancy count per slot). anchor is the first tick of the window;
-	// cursor is the next tick to drain (slots for ticks in [anchor,
-	// cursor) are empty). nbucket counts entries across all buckets,
-	// including cancelled ones awaiting lazy removal.
+	// Tier 1: near-window calendar buckets (chain head/tail, an occupancy
+	// count and a dirty flag per slot). anchor is the first tick of the
+	// window; cursor is the next tick to drain (slots for ticks in [anchor,
+	// cursor) are empty). A clean chain is sorted by (at, seq); a dirty one
+	// is not. side holds the cursor tick's events that are not in its
+	// chain, and only while that chain is clean; it is empty whenever the
+	// cursor moves. blen and nbucket count side entries with their tick and
+	// include cancelled events awaiting lazy removal.
 	buckets [numBuckets]*event
 	tails   [numBuckets]*event
 	blen    [numBuckets]int32
+	dirty   [numBuckets]bool
+	side    eventHeap
 	nbucket int
 	anchor  int64
 	cursor  int64
@@ -163,7 +172,7 @@ type Engine struct {
 	nowClean bool
 
 	// Tier 2: far-future monomorphic 4-ary min-heap.
-	far []*event
+	far eventHeap
 
 	// stepped counts events executed by this engine; the delta since
 	// flushedAt is folded into the process-wide totalEvents counter when
@@ -182,16 +191,17 @@ type Engine struct {
 	flushedSched  SchedStats
 }
 
-// initialFarCap pre-sizes the far heap and free list growth: typical
-// simulations keep hundreds of in-flight events, so starting at a real
-// capacity avoids the early growth reallocations on every run.
+// initialFarCap pre-sizes the far and side heaps: typical simulations keep
+// hundreds of in-flight events, so starting at a real capacity avoids the
+// early growth reallocations on every run.
 const initialFarCap = 64
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{
 		live: make(map[*Proc]struct{}),
-		far:  make([]*event, 0, initialFarCap),
+		far:  make(eventHeap, 0, initialFarCap),
+		side: make(eventHeap, 0, initialFarCap),
 	}
 }
 
@@ -222,7 +232,7 @@ type SchedStats struct {
 	Ring      uint64 // insertions dispatched through the same-instant ring
 	Bucket    uint64 // insertions into the near-window calendar buckets
 	Far       uint64 // insertions that overflowed to the far heap
-	MaxBucket int    // peak single-bucket occupancy
+	MaxBucket int    // peak single-tick occupancy (chain plus side heap)
 }
 
 // TotalSchedStats reports the process-wide scheduler-placement totals for
@@ -343,12 +353,12 @@ func (e *Engine) insert(ev *event) {
 	case tk < e.anchor+numBuckets:
 		e.bucketPut(tk, ev)
 	default:
-		e.farPush(ev)
+		e.far.push(ev)
 		e.statFar++
 	}
 }
 
-// bucketPut inserts the event into its tick's sorted bucket chain.
+// bucketPut inserts the event into its tick's bucket (see relink).
 //
 //partib:hotpath
 func (e *Engine) bucketPut(tk int64, ev *event) {
@@ -360,6 +370,7 @@ func (e *Engine) bucketPut(tk int64, ev *event) {
 	if tk < e.cursor {
 		// The drain cursor had advanced past this (then-empty) tick;
 		// pull it back so the new event is seen.
+		e.sideFlush()
 		e.cursor = tk
 	}
 	e.statBucket++
@@ -369,6 +380,7 @@ func (e *Engine) bucketPut(tk int64, ev *event) {
 // bucketed events (those beyond the new window spill to the far heap).
 // Chains are relinked in place; nothing allocates.
 func (e *Engine) reanchor(tk int64) {
+	e.sideFlush()
 	var chain *event
 	if e.nbucket > 0 {
 		for i := range e.buckets {
@@ -378,7 +390,7 @@ func (e *Engine) reanchor(tk int64) {
 				chain = ev
 				ev = nxt
 			}
-			e.buckets[i], e.tails[i], e.blen[i] = nil, nil, 0
+			e.buckets[i], e.tails[i], e.blen[i], e.dirty[i] = nil, nil, 0, false
 		}
 		e.nbucket = 0
 	}
@@ -388,73 +400,181 @@ func (e *Engine) reanchor(tk int64) {
 		if mtk := tickOf(ev.at); mtk < tk+numBuckets {
 			e.relink(mtk, ev)
 		} else {
-			e.farPush(ev)
+			e.far.push(ev)
 		}
 		ev = nxt
 	}
 }
 
-// relink inserts an already-queued event into its tick's bucket chain,
-// keeping the chain sorted by (at, seq). The tail check makes the dominant
-// monotone insertion orders O(1); out-of-order arrivals walk the (small)
-// chain to their slot. It does not touch the placement stats (reanchor and
-// refill migrations reuse it).
+// relink inserts an already-queued event into its tick's bucket in O(1).
+// An event that does not precede the chain tail is appended and one that
+// precedes the head is prepended, which keeps a clean chain sorted and
+// covers the dominant monotone orders (same-instant bursts, LogGP step
+// trains, refill migration). Any other event goes to the side heap when
+// its tick is the cursor's and the chain is clean, and otherwise is
+// appended and marks the bucket dirty for next to sort. It does not touch
+// the placement stats (reanchor and refill migrations reuse it).
 //
 //partib:hotpath
 func (e *Engine) relink(tk int64, ev *event) {
 	i := int(tk & bucketMask)
-	if t := e.tails[i]; t == nil {
+	switch t := e.tails[i]; {
+	case t == nil:
 		ev.next = nil
 		e.buckets[i] = ev
 		e.tails[i] = ev
-	} else if !eventLess(ev, t) {
+	case !eventLess(ev, t):
 		ev.next = nil
 		t.next = ev
 		e.tails[i] = ev
-	} else if h := e.buckets[i]; eventLess(ev, h) {
-		ev.next = h
+	case eventLess(ev, e.buckets[i]):
+		ev.next = e.buckets[i]
 		e.buckets[i] = ev
-	} else {
-		cur := h
-		for cur.next != nil && !eventLess(ev, cur.next) {
-			cur = cur.next
-		}
-		ev.next = cur.next
-		cur.next = ev
+	case tk == e.cursor && !e.dirty[i]:
+		e.side.push(ev)
+	default:
+		ev.next = nil
+		t.next = ev
+		e.tails[i] = ev
+		e.dirty[i] = true
 	}
 	e.blen[i]++
 	e.nbucket++
 }
 
-// farPush inserts the event into the 4-ary min-heap (hole-based sift-up,
-// monomorphic comparisons — no container/heap interface dispatch).
-//
-//partib:hotpath
-func (e *Engine) farPush(ev *event) {
-	h := append(e.far, ev) //partlint:allow hotpathalloc amortized; far heap is pre-sized
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(ev, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// sideFlush returns the side heap's events to the cursor tick's chain and
+// marks it dirty, so next sorts them in when the cursor comes back.
+// Every cursor move except next's advance past a drained tick calls it
+// first; refill and the empty-queue re-anchor need not, because side
+// entries count in nbucket and both run only when nbucket is zero. The
+// chain is never empty here: the cursor only moves back while the clock is
+// still before its tick, so none of the tick's events has fired; side
+// entries only join a chain of two or more, and next promotes the side top
+// when it drops the chain's last husk.
+func (e *Engine) sideFlush() {
+	if len(e.side) == 0 {
+		return
 	}
-	h[i] = ev
-	e.far = h
+	i := int(e.cursor & bucketMask)
+	t := e.tails[i]
+	for j, ev := range e.side {
+		t.next = ev
+		t = ev
+		e.side[j] = nil
+	}
+	t.next = nil
+	e.tails[i] = t
+	e.side = e.side[:0]
+	e.dirty[i] = true
 }
 
-// farPop removes and returns the heap minimum (hole-based 4-ary sift-down).
+// sortBucket sorts the dirty bucket at the cursor once, by (at, seq): a
+// bottom-up natural merge sort on the intrusive links, whose ascending runs
+// merge through bins[k] (nil, or a chain merged from 2^k runs), so nothing
+// allocates. Cancelled events are recycled on the way.
 //
 //partib:hotpath
-func (e *Engine) farPop() *event {
-	h := e.far
-	n := len(h) - 1
-	root := h[0]
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
+func (e *Engine) sortBucket(i int) {
+	var bins [32]*event
+	var last *event // the largest event seen: the sorted chain's tail
+	for ev := e.buckets[i]; ev != nil; {
+		var run, tail *event
+		for ev != nil {
+			nxt := ev.next
+			if ev.cancelled {
+				e.blen[i]--
+				e.nbucket--
+				e.recycle(ev)
+			} else if tail == nil {
+				run, tail = ev, ev
+			} else if !eventLess(ev, tail) {
+				tail.next = ev
+				tail = ev
+			} else {
+				break
+			}
+			ev = nxt
+		}
+		if tail == nil {
+			break
+		}
+		tail.next = nil
+		if last == nil || eventLess(last, tail) {
+			last = tail
+		}
+		k := 0
+		for ; bins[k] != nil; k++ {
+			run = mergeChains(bins[k], run)
+			bins[k] = nil
+		}
+		bins[k] = run
+	}
+	var head *event
+	for _, b := range bins {
+		if b != nil {
+			head = mergeChains(b, head)
+		}
+	}
+	e.buckets[i], e.tails[i] = head, last
+	e.dirty[i] = false
+}
+
+// mergeChains merges two sorted chains into one.
+//
+//partib:hotpath
+func mergeChains(a, b *event) *event {
+	var head *event
+	link := &head
+	for a != nil && b != nil {
+		if eventLess(b, a) {
+			*link = b
+			link, b = &b.next, b.next
+		} else {
+			*link = a
+			link, a = &a.next, a.next
+		}
+	}
+	if a != nil {
+		*link = a
+	} else {
+		*link = b
+	}
+	return head
+}
+
+// eventHeap is a 4-ary min-heap of events ordered by eventLess, with
+// hole-based sifts and monomorphic comparisons (no container/heap
+// interface dispatch). It serves both the far tier and the side heap.
+type eventHeap []*event
+
+// push inserts the event (hole-based sift-up).
+//
+//partib:hotpath
+func (h *eventHeap) push(ev *event) {
+	s := append(*h, ev) //partlint:allow hotpathalloc amortized; both heaps are pre-sized
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !eventLess(ev, s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = ev
+	*h = s
+}
+
+// pop removes and returns the heap minimum (hole-based sift-down).
+//
+//partib:hotpath
+func (h *eventHeap) pop() *event {
+	s := *h
+	n := len(s) - 1
+	root := s[0]
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
 	if n > 0 {
 		i := 0
 		for {
@@ -468,26 +588,27 @@ func (e *Engine) farPop() *event {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if eventLess(h[j], h[m]) {
+				if eventLess(s[j], s[m]) {
 					m = j
 				}
 			}
-			if !eventLess(h[m], last) {
+			if !eventLess(s[m], last) {
 				break
 			}
-			h[i] = h[m]
+			s[i] = s[m]
 			i = m
 		}
-		h[i] = last
+		s[i] = last
 	}
-	e.far = h
+	*h = s
 	return root
 }
 
 // refill re-anchors the empty bucket window at the earliest far event and
-// migrates every far event inside the new window into its bucket. Must only
-// be called when ring and buckets are empty (the far heap is otherwise
-// never consulted: every bucketed event precedes every far event).
+// migrates every far event inside the new window into its bucket (in heap
+// order, so each lands with a tail append). Must only be called when ring
+// and buckets are empty (the far heap is otherwise never consulted: every
+// bucketed event precedes every far event).
 //
 //partib:hotpath
 func (e *Engine) refill() {
@@ -495,7 +616,7 @@ func (e *Engine) refill() {
 	e.anchor, e.cursor = tk, tk
 	end := tk + numBuckets
 	for len(e.far) > 0 && tickOf(e.far[0].at) < end {
-		ev := e.farPop()
+		ev := e.far.pop()
 		if ev.cancelled {
 			e.recycle(ev)
 			continue
@@ -548,9 +669,13 @@ func (e *Engine) next() (ev *event, slot int) {
 			}
 			for e.cursor < limit {
 				i := int(e.cursor & bucketMask)
+				if e.dirty[i] {
+					e.sortBucket(i)
+				}
 				// Drop cancelled chain heads in passing (lazy cancel);
 				// interior cancelled events surface here as earlier
-				// entries pop.
+				// entries pop. sideHead does the same for the side heap
+				// and moves its top to the chain head when it is earlier.
 				h := e.buckets[i]
 				for h != nil && h.cancelled {
 					e.buckets[i] = h.next
@@ -561,6 +686,9 @@ func (e *Engine) next() (ev *event, slot int) {
 					e.nbucket--
 					e.recycle(h)
 					h = e.buckets[i]
+				}
+				if len(e.side) > 0 {
+					h = e.sideHead(i, h)
 				}
 				if h != nil {
 					if rh != nil && eventLess(rh, h) {
@@ -591,6 +719,30 @@ func (e *Engine) next() (ev *event, slot int) {
 	}
 }
 
+// sideHead drops cancelled events from the top of the side heap and, when
+// the top precedes the cursor bucket i's chain head h, makes it the head,
+// which keeps the chain sorted, so take only ever pops chain heads. It
+// returns the chain head.
+//
+//partib:hotpath
+func (e *Engine) sideHead(i int, h *event) *event {
+	for len(e.side) > 0 && e.side[0].cancelled {
+		e.recycle(e.side.pop())
+		e.blen[i]--
+		e.nbucket--
+	}
+	if len(e.side) == 0 || (h != nil && !eventLess(e.side[0], h)) {
+		return h
+	}
+	s := e.side.pop()
+	s.next = h
+	e.buckets[i] = s
+	if h == nil {
+		e.tails[i] = s
+	}
+	return s
+}
+
 // take removes the event located by next (always a chain head) from its
 // tier.
 //
@@ -614,6 +766,9 @@ func (e *Engine) take(ev *event, slot int) {
 //partib:hotpath
 func (e *Engine) fireEvent(ev *event) {
 	if ev.at != e.now {
+		if ev.at < e.now {
+			e.clockBackwards(ev.at)
+		}
 		e.now = ev.at
 		e.nowClean = false
 	}
@@ -626,6 +781,15 @@ func (e *Engine) fireEvent(ev *event) {
 		fn()
 	}
 	e.stepped++
+}
+
+// clockBackwards reports a queue that handed back an event before now.
+// Running on would reorder the simulation silently, or hang a ShardSet
+// whose window bounds assume a monotone clock.
+//
+//partib:coldpath
+func (e *Engine) clockBackwards(at Time) {
+	panic(fmt.Sprintf("sim: queue dispatched an event at %v after now %v", at, e.now))
 }
 
 // schedule enqueues the closure fn to run at time at (the cold-path API).
