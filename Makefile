@@ -72,7 +72,7 @@ race:
 	$(GO) test -race -run 'TestSharded' ./internal/bench/
 	$(GO) test -race -run 'Incast|SaturateLink|BandwidthNeverExceeds|Route|Congest' ./internal/fabric/
 
-# Provider-conformance suite: every transport backend (verbs, ucx, shm)
+# Provider-conformance suite: every transport backend (verbs, shm)
 # against the same SPI contract, including under the race detector.
 conformance:
 	$(GO) test ./internal/xport/...

@@ -2,13 +2,14 @@
 // import-graph check. The strategy code in internal/core and its clients
 // must program against the provider-neutral internal/xport SPI only;
 // reaching for a concrete backend (the verbs emulation in internal/ibv,
-// the ucx shim, or a concrete xport backend package) reintroduces the
-// provider coupling the SPI refactor removed. A grep over import blocks
-// misses aliased imports and — worse — transitive leaks through a helper
-// package; this analyzer resolves real import paths and propagates
-// reachability facts across packages, stopping at the sanctioned
-// boundary packages that are allowed to touch backends (internal/mpi
-// registers providers; internal/cluster owns the hardware model).
+// the internal/ucx messenger engine, or a concrete xport backend package)
+// reintroduces the provider coupling the SPI refactor removed. A grep over
+// import blocks misses aliased imports and — worse — transitive leaks
+// through a helper package; this analyzer resolves real import paths and
+// propagates reachability facts across packages, stopping at the
+// sanctioned boundary packages that are allowed to touch backends
+// (internal/mpi registers providers; internal/cluster owns the hardware
+// model).
 package xportgate
 
 import (

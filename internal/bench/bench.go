@@ -27,6 +27,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/xport"
 )
 
 // jitterPRNG is a seeded splitmix64 generator. The per-thread skew draws
@@ -207,6 +208,10 @@ func newWorld(clCfg cluster.Config, ranksPerNode, shards int, topo, provider str
 			return nil, nil, err
 		}
 		engines[i] = eng
+	}
+	if clCfg.Nodes > 1 && engines[0].Provider().Caps().IntraNode {
+		return nil, nil, fmt.Errorf("bench: %w: provider %q cannot connect %d nodes",
+			xport.ErrCrossNode, engines[0].Provider().Name(), clCfg.Nodes)
 	}
 	return w, engines, nil
 }

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/xport"
 )
 
 func TestHaloConfigValidate(t *testing.T) {
@@ -70,5 +72,25 @@ func TestHaloAggregationBeatsBaseline(t *testing.T) {
 	timer := run(core.Options{Strategy: core.StrategyTimerPLogGP, Delta: 35 * time.Microsecond})
 	if timer >= base {
 		t.Fatalf("timer comm %v not below baseline %v", timer, base)
+	}
+}
+
+// TestIntraNodeProviderRejectsMultiNodeWorld checks that the multi-node
+// benchmarks refuse an intra-node-only provider with a typed error
+// instead of panicking at endpoint wireup.
+func TestIntraNodeProviderRejectsMultiNodeWorld(t *testing.T) {
+	_, err := RunHalo(HaloConfig{
+		GridX: 2, GridY: 2, Threads: 4, Bytes: 4096,
+		Warmup: 1, Iters: 1, Provider: "shm",
+	})
+	if !errors.Is(err, xport.ErrCrossNode) {
+		t.Errorf("RunHalo over shm: err = %v, want ErrCrossNode", err)
+	}
+	_, err = RunSweep(SweepConfig{
+		GridX: 2, GridY: 2, Threads: 4, Bytes: 4096,
+		Warmup: 1, Iters: 1, Provider: "shm",
+	})
+	if !errors.Is(err, xport.ErrCrossNode) {
+		t.Errorf("RunSweep over shm: err = %v, want ErrCrossNode", err)
 	}
 }

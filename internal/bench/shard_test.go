@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/xport"
 )
 
 // shardStrategies are the aggregation strategies every differential test
@@ -22,11 +23,12 @@ var shardStrategies = []struct {
 // TestShardedP2PMatchesSerial runs the point-to-point benchmark serial and
 // sharded across every provider and strategy, and requires identical
 // per-iteration observations: the conservative shard runtime must not
-// change a single timestamp. (The shm provider places both ranks on one
+// change a single timestamp. It walks the provider registry, so a provider
+// added later is covered without editing this list. (The shm provider places both ranks on one
 // node, so its shard count clamps to 1 — the run still exercises the
 // sharded world plumbing end to end.)
 func TestShardedP2PMatchesSerial(t *testing.T) {
-	for _, provider := range []string{"verbs", "ucx", "shm"} {
+	for _, provider := range xport.Names() {
 		for _, strat := range shardStrategies {
 			t.Run(provider+"/"+strat.name, func(t *testing.T) {
 				cfg := P2PConfig{

@@ -2,8 +2,10 @@
 // Open MPI's persistent partitioned module sends each user partition as an
 // ordinary message through UCX, which picks a protocol by size —
 // eager/bcopy (copy through a bounce buffer), eager/zcopy (gather directly
-// from registered user memory), or rendezvous (RTS/CTS control exchange
-// followed by a direct RDMA write and a FIN notification).
+// from registered user memory), or rendezvous (an RTS control message that
+// exposes the sender's memory, a receiver RDMA read straight into the
+// landing zone, and a release back to the sender), as UCX runs it on RC
+// fabrics.
 //
 // The protocol switch points are observable in the paper's Figure 8 as
 // speedup spikes ("1 KiB is the threshold where UCX switches from its
@@ -17,15 +19,12 @@
 //
 // The engine is provider-neutral: it speaks only the transport SPI
 // (internal/xport), so the same protocol machine runs over the verbs
-// device, the shared-memory loopback, or any future backend. The package
-// also registers the "ucx" provider, whose endpoints and memory delegate
-// to the rank's verbs provider (UCX running over verbs hardware) and whose
-// messenger is this engine.
+// device, the shared-memory loopback, or any future backend. Providers
+// build it from their NewMessenger.
 package ucx
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -33,135 +32,53 @@ import (
 	"repro/internal/xport"
 )
 
-// Config selects protocol thresholds and copy costs.
-type Config struct {
-	// BcopyMax is the largest payload sent through the bounce-copy path.
-	// Zero selects 1 KiB (the threshold the paper observes in UCX).
-	BcopyMax int
-	// RndvThreshold is the largest eager payload; above it the rendezvous
-	// protocol runs. Zero selects 32 KiB.
-	RndvThreshold int
-	// CopyByteTime is the memcpy cost in ns/B for bcopy staging and
-	// receive-side copy-out. Zero selects 0.05 (20 GB/s).
-	CopyByteTime float64
-	// Slots is the bounce-slot count per endpoint direction. Zero
-	// selects 64.
-	Slots int
-	// Rails is the number of endpoints per peer, used round-robin (UCX
+// Cost and geometry constants of the engine. The thresholds that pick a
+// protocol come from the provider's Caps.
+const (
+	// copyByteTime is the memcpy cost in ns/B for bcopy staging and
+	// receive-side copy-out (20 GB/s).
+	copyByteTime = 0.05
+	// numSlots is the bounce-slot count per endpoint direction.
+	numSlots = 64
+	// numRails is the number of endpoints per peer, used round-robin (UCX
 	// multi-rail); with the default fabric a single QP cannot saturate
-	// the link. Zero selects 2.
-	Rails int
-	// SendOverhead is the per-message CPU cost of the bcopy (small
-	// message) send fast path. Zero selects 120 ns.
-	SendOverhead time.Duration
-	// ZcopySendOverhead is the eager zero-copy send path cost (adds
-	// registration-cache handling). Zero selects 600 ns.
-	ZcopySendOverhead time.Duration
-	// RndvSendOverhead is the rendezvous initiation cost (request object,
+	// the link.
+	numRails = 2
+	// sendOverhead is the per-message CPU cost of the bcopy (small
+	// message) send fast path.
+	sendOverhead = 120 * time.Nanosecond
+	// zcopySendOverhead is the eager zero-copy send path cost (adds
+	// registration-cache handling).
+	zcopySendOverhead = 600 * time.Nanosecond
+	// rndvSendOverhead is the rendezvous initiation cost (request object,
 	// RTS build) — the protocol's round trips are modelled separately.
-	// Zero selects 900 ns.
-	RndvSendOverhead time.Duration
-	// AMProcess is the receive-side active-message handling cost for
-	// bcopy arrivals, on top of the raw completion poll. Zero selects
-	// 150 ns.
-	AMProcess time.Duration
-	// ZcopyAMProcess is the receive-side handling cost for zcopy-sized
-	// arrivals. Zero selects 500 ns.
-	ZcopyAMProcess time.Duration
-	// RndvRecvOverhead is the receiver-side CPU cost of each rendezvous
-	// protocol step (RTS handling/CTS build, and FIN handling), serialized
-	// on the receiver like its progress engine — the per-message cost that
-	// makes per-partition rendezvous traffic expensive for the baseline.
-	// Zero selects 2500 ns.
-	RndvRecvOverhead time.Duration
-	// Channel namespaces the transport's control messages so multiple
-	// transports (like multiple UCX workers) can coexist on one rank.
-	// Empty selects "ucx".
-	Channel string
-	// RndvScheme selects the rendezvous data mover, like UCX_RNDV_SCHEME:
-	// "get" (the receiver RDMA-reads the sender's memory directly from
-	// the RTS and completes locally; the default, as on RC fabrics) or
-	// "put" (sender RDMA-writes after a CTS grant, with a FIN that needs
-	// sender-side progress).
-	RndvScheme string
-}
+	rndvSendOverhead = 900 * time.Nanosecond
+	// amProcess is the receive-side active-message handling cost for
+	// bcopy arrivals, on top of the raw completion poll.
+	amProcess = 150 * time.Nanosecond
+	// zcopyAMProcess is the receive-side handling cost for zcopy-sized
+	// arrivals.
+	zcopyAMProcess = 500 * time.Nanosecond
+	// rndvRecvOverhead is the receiver-side CPU cost of each rendezvous
+	// protocol step (RTS handling before the read is posted, and read
+	// completion), serialized on the receiver like its progress engine —
+	// the per-message cost that makes per-partition rendezvous traffic
+	// expensive for the baseline.
+	rndvRecvOverhead = 2500 * time.Nanosecond
 
-func (c Config) withDefaults() Config {
-	if c.BcopyMax == 0 {
-		c.BcopyMax = 1 << 10
-	}
-	if c.RndvThreshold == 0 {
-		c.RndvThreshold = 32 << 10
-	}
-	if c.CopyByteTime == 0 {
-		c.CopyByteTime = 0.05
-	}
-	if c.Slots == 0 {
-		c.Slots = 64
-	}
-	if c.Rails == 0 {
-		c.Rails = 2
-	}
-	if c.SendOverhead == 0 {
-		c.SendOverhead = 120 * time.Nanosecond
-	}
-	if c.ZcopySendOverhead == 0 {
-		c.ZcopySendOverhead = 600 * time.Nanosecond
-	}
-	if c.RndvSendOverhead == 0 {
-		c.RndvSendOverhead = 900 * time.Nanosecond
-	}
-	if c.AMProcess == 0 {
-		c.AMProcess = 150 * time.Nanosecond
-	}
-	if c.ZcopyAMProcess == 0 {
-		c.ZcopyAMProcess = 500 * time.Nanosecond
-	}
-	if c.RndvRecvOverhead == 0 {
-		c.RndvRecvOverhead = 2500 * time.Nanosecond
-	}
-	if c.Channel == "" {
-		c.Channel = "ucx"
-	}
-	if c.RndvScheme == "" {
-		c.RndvScheme = "get"
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.BcopyMax < 0 || c.RndvThreshold < c.BcopyMax:
-		return fmt.Errorf("ucx: thresholds out of order: bcopy %d, rndv %d", c.BcopyMax, c.RndvThreshold)
-	case c.CopyByteTime <= 0:
-		return errors.New("ucx: CopyByteTime must be positive")
-	case c.Slots < 1:
-		return errors.New("ucx: need at least one bounce slot")
-	case c.Rails < 1:
-		return errors.New("ucx: need at least one rail")
-	case c.Slots < c.Rails:
-		return errors.New("ucx: need at least one bounce slot per rail")
-	case c.SendOverhead < 0 || c.ZcopySendOverhead < 0 || c.RndvSendOverhead < 0 ||
-		c.AMProcess < 0 || c.ZcopyAMProcess < 0 || c.RndvRecvOverhead < 0:
-		return errors.New("ucx: negative software cost")
-	case c.RndvScheme != "" && c.RndvScheme != "put" && c.RndvScheme != "get":
-		return fmt.Errorf("ucx: unknown rendezvous scheme %q", c.RndvScheme)
-	}
-	return nil
-}
+	// creditBatch is how many deliveries a rail's receiver batches before
+	// returning their credits: half the rail's share of the slots.
+	creditBatch = numSlots / numRails / 2
+)
 
 const headerBytes = 8
 
 // Control-message kind suffixes; the transport's channel name prefixes
-// them (see Config.Channel).
+// them (see xport.MessengerConfig.Channel).
 const (
 	kindConnect = ".connect"
 	kindAccept  = ".accept"
 	kindRTS     = ".rts"
-	kindCTS     = ".cts"
-	kindFIN     = ".fin"
 	kindCredit  = ".credit"
 	kindRelease = ".rel"
 )
@@ -180,7 +97,11 @@ type (
 type Transport struct {
 	host xport.Host
 	pv   xport.Provider
-	cfg  Config
+
+	// bcopyMax is the largest payload sent through the bounce-copy path;
+	// rndvThreshold is the largest eager payload, above which the
+	// rendezvous runs. Both come from the provider's Caps.
+	bcopyMax, rndvThreshold int
 
 	eager      EagerHandler
 	rndvTarget RndvTarget
@@ -191,8 +112,7 @@ type Transport struct {
 	// Channel-scoped control kinds, concatenated once at construction:
 	// protocol sends are per-message hot-path work and must not rebuild
 	// the kind string every time.
-	kindConnect, kindAccept, kindRTS, kindCTS string
-	kindFIN, kindCredit, kindRelease          string
+	kindConnect, kindAccept, kindRTS, kindCredit, kindRelease string
 
 	// protoFreeAt serializes receiver-side rendezvous protocol handling
 	// (the progress engine handles one protocol message at a time).
@@ -213,7 +133,7 @@ type connectMsg struct {
 }
 
 // rtsMsg announces a rendezvous send; raddr/rkey expose the sender's
-// memory for the get scheme.
+// memory for the receiver's RDMA read.
 type rtsMsg struct {
 	header uint64
 	size   int
@@ -222,22 +142,9 @@ type rtsMsg struct {
 	rkey   uint32
 }
 
-// releaseMsg (get scheme) tells the sender its memory is no longer needed.
+// releaseMsg tells the sender its memory is no longer needed.
 type releaseMsg struct {
 	seq uint64
-}
-
-// ctsMsg grants a rendezvous landing zone.
-type ctsMsg struct {
-	seq   uint64
-	raddr uint64
-	rkey  uint32
-}
-
-// finMsg signals rendezvous completion to the receiver.
-type finMsg struct {
-	header uint64
-	size   int
 }
 
 // creditMsg returns eager-receive credits for one rail (sender-side flow
@@ -292,16 +199,13 @@ type endpoint struct {
 	// credit return.
 	processed []int
 
-	// Outstanding rendezvous ops by sequence number (sender side).
-	rndv    map[uint64]*rndvOp
+	// Outstanding rendezvous sequence numbers awaiting release (sender
+	// side).
+	rndv    map[uint64]struct{}
 	nextSeq uint64
 
-	// finPending maps rendezvous write WRIDs to the FIN sent on their
-	// completion.
-	finPending map[uint64]finMsg
-
-	// readOps (get scheme, receiver side) maps RDMA-read WRIDs to the
-	// rendezvous they complete.
+	// readOps (receiver side) maps RDMA-read WRIDs to the rendezvous they
+	// complete.
 	readOps map[uint64]readOp
 
 	nextWRID uint64
@@ -314,14 +218,7 @@ type pendingSend struct {
 	length int
 }
 
-type rndvOp struct {
-	header uint64
-	mem    xport.Mem
-	off    int
-	length int
-}
-
-// readOp tracks one in-flight rendezvous-get read on the receiver.
+// readOp tracks one in-flight rendezvous read on the receiver.
 type readOp struct {
 	from   int
 	header uint64
@@ -329,53 +226,32 @@ type readOp struct {
 	seq    uint64
 }
 
-// New builds the engine over a provider from a neutral messenger
-// configuration; providers call it from their NewMessenger.
+// New builds the engine over a provider, with the provider's protocol
+// thresholds, and registers its control handlers; providers call it from
+// their NewMessenger. Create exactly one transport per (rank, channel).
 func New(h xport.Host, pv xport.Provider, mcfg xport.MessengerConfig) (xport.Messenger, error) {
 	caps := pv.Caps()
-	cfg := Config{
-		Channel:       mcfg.Channel,
-		Rails:         mcfg.Rails,
-		BcopyMax:      mcfg.EagerMax,
-		RndvThreshold: mcfg.RndvThreshold,
-		RndvScheme:    mcfg.RndvScheme,
+	channel := mcfg.Channel
+	if channel == "" {
+		channel = "ucx"
 	}
-	if cfg.BcopyMax == 0 {
-		cfg.BcopyMax = caps.EagerMax
+	t := &Transport{
+		host: h, pv: pv,
+		bcopyMax: caps.EagerMax, rndvThreshold: caps.RndvThreshold,
+		eps: make(map[int]*endpoint),
 	}
-	if cfg.RndvThreshold == 0 {
-		cfg.RndvThreshold = caps.RndvThreshold
-	}
-	return NewWithConfig(h, pv, cfg)
-}
-
-// NewWithConfig creates the transport for a rank with full protocol
-// tuning and registers its control handlers. Create exactly one transport
-// per (rank, channel).
-func NewWithConfig(h xport.Host, pv xport.Provider, cfg Config) (*Transport, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Transport{host: h, pv: pv, cfg: cfg.withDefaults(), eps: make(map[int]*endpoint)}
-	t.kindConnect = t.cfg.Channel + kindConnect
-	t.kindAccept = t.cfg.Channel + kindAccept
-	t.kindRTS = t.cfg.Channel + kindRTS
-	t.kindCTS = t.cfg.Channel + kindCTS
-	t.kindFIN = t.cfg.Channel + kindFIN
-	t.kindCredit = t.cfg.Channel + kindCredit
-	t.kindRelease = t.cfg.Channel + kindRelease
+	t.kindConnect = channel + kindConnect
+	t.kindAccept = channel + kindAccept
+	t.kindRTS = channel + kindRTS
+	t.kindCredit = channel + kindCredit
+	t.kindRelease = channel + kindRelease
 	h.HandleCtrl(t.kindConnect, t.onConnect)
 	h.HandleCtrl(t.kindAccept, t.onAccept)
 	h.HandleCtrl(t.kindRTS, t.onRTS)
-	h.HandleCtrl(t.kindCTS, t.onCTS)
-	h.HandleCtrl(t.kindFIN, t.onFIN)
 	h.HandleCtrl(t.kindCredit, t.onCredit)
 	h.HandleCtrl(t.kindRelease, t.onRelease)
 	return t, nil
 }
-
-// Host returns the owning rank's host environment.
-func (t *Transport) Host() xport.Host { return t.host }
 
 // SetEagerHandler installs the eager active-message consumer.
 func (t *Transport) SetEagerHandler(h EagerHandler) { t.eager = h }
@@ -398,7 +274,7 @@ func (t *Transport) Stats() (bcopy, zcopy, rndv int64) {
 func (t *Transport) Quiescent() bool {
 	for _, ep := range t.eps {
 		if len(ep.pending) > 0 || len(ep.rndv) > 0 ||
-			len(ep.finPending) > 0 || len(ep.slotOf) > 0 || len(ep.readOps) > 0 {
+			len(ep.slotOf) > 0 || len(ep.readOps) > 0 {
 			return false
 		}
 	}
@@ -432,14 +308,14 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 	ep := &endpoint{
 		dst:      dst,
 		slotOf:   make(map[uint64]int),
-		rndv:     make(map[uint64]*rndvOp),
-		slotSize: headerBytes + t.cfg.RndvThreshold,
+		rndv:     make(map[uint64]struct{}),
+		slotSize: headerBytes + t.rndvThreshold,
 	}
-	ep.rails = make([]xport.Endpoint, t.cfg.Rails)
+	ep.rails = make([]xport.Endpoint, numRails)
 	for i := range ep.rails {
 		rail, err := t.pv.NewEndpoint(xport.EndpointConfig{
 			MaxSendWR:    256,
-			MaxRecvWR:    t.cfg.Slots + 16,
+			MaxRecvWR:    numSlots + 16,
 			OnCompletion: func(p *sim.Proc, c xport.Completion) { t.onWC(p, ep, c) },
 		})
 		if err != nil {
@@ -447,27 +323,27 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 		}
 		ep.rails[i] = rail
 	}
-	staging, err := t.pv.RegMem(make([]byte, t.cfg.Slots*ep.slotSize))
+	staging, err := t.pv.RegMem(make([]byte, numSlots*ep.slotSize))
 	if err != nil {
 		panic(fmt.Sprintf("ucx: staging RegMem: %v", err))
 	}
-	bounce, err := t.pv.RegMem(make([]byte, t.cfg.Slots*ep.slotSize))
+	bounce, err := t.pv.RegMem(make([]byte, numSlots*ep.slotSize))
 	if err != nil {
 		panic(fmt.Sprintf("ucx: bounce RegMem: %v", err))
 	}
 	ep.staging, ep.bounce = staging, bounce
-	ep.sendSegs = make([][2]xport.Seg, t.cfg.Slots)
-	ep.recvWRs = make([]xport.RecvWR, t.cfg.Slots)
-	for i := 0; i < t.cfg.Slots; i++ {
+	ep.sendSegs = make([][2]xport.Seg, numSlots)
+	ep.recvWRs = make([]xport.RecvWR, numSlots)
+	for i := 0; i < numSlots; i++ {
 		ep.freeSlots = append(ep.freeSlots, i)
 		ep.recvWRs[i] = xport.RecvWR{
 			WRID: uint64(i),
 			Segs: []xport.Seg{{Mem: bounce, Off: i * ep.slotSize, Len: ep.slotSize}},
 		}
 	}
-	perRail := t.cfg.Slots / t.cfg.Rails
-	ep.credits = make([]int, t.cfg.Rails)
-	ep.processed = make([]int, t.cfg.Rails)
+	perRail := numSlots / numRails
+	ep.credits = make([]int, numRails)
+	ep.processed = make([]int, numRails)
 	for i := range ep.credits {
 		ep.credits[i] = perRail
 	}
@@ -475,7 +351,7 @@ func (t *Transport) newEndpoint(dst int) *endpoint {
 }
 
 // nextRail round-robins rails for operations that need no eager credit
-// (rendezvous RDMA writes consume no remote receive WR).
+// (rendezvous RDMA reads consume no remote receive WR).
 func (ep *endpoint) nextRail() xport.Endpoint {
 	rail := ep.rails[ep.rail%len(ep.rails)]
 	ep.rail++
@@ -509,7 +385,7 @@ func (ep *endpoint) hasEagerCredit() bool {
 // postBounceRecvs fills the receive queue with bounce-slot WRs. WRIDs
 // encode the slot index.
 func (t *Transport) postBounceRecvs(ep *endpoint) {
-	for i := 0; i < t.cfg.Slots; i++ {
+	for i := 0; i < numSlots; i++ {
 		t.repostBounce(ep, i)
 	}
 }
@@ -569,7 +445,7 @@ func (t *Transport) Connected(dst int) bool {
 
 // copyCost returns the modelled memcpy time for n bytes.
 func (t *Transport) copyCost(n int) time.Duration {
-	return time.Duration(float64(n) * t.cfg.CopyByteTime)
+	return time.Duration(float64(n) * copyByteTime)
 }
 
 // Send delivers an active message from arbitrary (unregistered) memory; it
@@ -577,9 +453,9 @@ func (t *Transport) copyCost(n int) time.Duration {
 // len(data) <= RndvThreshold. Use SendMR for registered payloads of any
 // size.
 func (t *Transport) Send(p *sim.Proc, dst int, header uint64, data []byte) error {
-	if len(data) > t.cfg.RndvThreshold {
+	if len(data) > t.rndvThreshold {
 		return fmt.Errorf("%w: ucx: Send of %d B exceeds eager limit %d; use SendMR",
-			xport.ErrTooLong, len(data), t.cfg.RndvThreshold)
+			xport.ErrTooLong, len(data), t.rndvThreshold)
 	}
 	ep := t.endpointFor(dst)
 	// Stage into a scratch registered buffer via the normal path by
@@ -599,9 +475,9 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 	}
 	ep := t.endpointFor(dst)
 	switch {
-	case length <= t.cfg.BcopyMax:
+	case length <= t.bcopyMax:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], true)
-	case length <= t.cfg.RndvThreshold:
+	case length <= t.rndvThreshold:
 		t.sendEager(p, ep, header, mem, off, mem.Bytes()[off:off+length], false)
 	default:
 		t.sendRndv(p, ep, header, mem, off, length)
@@ -614,10 +490,10 @@ func (t *Transport) SendMR(p *sim.Proc, dst int, header uint64, mem xport.Mem, o
 func (t *Transport) sendEager(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off int, data []byte, bcopy bool) {
 	if bcopy {
 		t.bcopySends++
-		p.Sleep(t.cfg.SendOverhead + t.copyCost(headerBytes+len(data)))
+		p.Sleep(sendOverhead + t.copyCost(headerBytes+len(data)))
 	} else {
 		t.zcopySends++
-		p.Sleep(t.cfg.ZcopySendOverhead + t.copyCost(headerBytes))
+		p.Sleep(zcopySendOverhead + t.copyCost(headerBytes))
 	}
 
 	if !ep.ready || len(ep.freeSlots) == 0 || !ep.hasEagerCredit() {
@@ -699,14 +575,14 @@ func (t *Transport) flushPending(ep *endpoint) {
 	}
 }
 
-// sendRndv runs the rendezvous protocol: RTS control message now, RDMA
-// write on CTS, FIN after the write completes.
+// sendRndv starts the rendezvous: an RTS exposing the sender's memory. The
+// receiver RDMA-reads it and releases the sequence number when done.
 func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport.Mem, off, length int) {
 	t.rndvSends++
-	p.Sleep(t.cfg.RndvSendOverhead)
+	p.Sleep(rndvSendOverhead)
 	ep.nextSeq++
 	seq := ep.nextSeq
-	ep.rndv[seq] = &rndvOp{header: header, mem: mem, off: off, length: length}
+	ep.rndv[seq] = struct{}{}
 	t.host.SendCtrl(ep.dst, t.kindRTS, rtsMsg{
 		header: header,
 		size:   length,
@@ -716,8 +592,8 @@ func (t *Transport) sendRndv(p *sim.Proc, ep *endpoint, header uint64, mem xport
 	})
 }
 
-// onRTS (receiver): resolve the landing zone and grant it. The CTS reply
-// leaves after the serialized protocol-processing cost.
+// onRTS (receiver): resolve the landing zone and RDMA-read the sender's
+// memory into it after the serialized protocol-processing cost.
 func (t *Transport) onRTS(from int, data any) {
 	msg := data.(rtsMsg)
 	if t.rndvTarget == nil {
@@ -727,41 +603,37 @@ func (t *Transport) onRTS(from int, data any) {
 	if !ok {
 		panic(fmt.Sprintf("ucx: no rendezvous target for header %#x from %d", msg.header, from))
 	}
-	if t.cfg.RndvScheme == "get" {
-		// Receiver-driven: RDMA-read the sender's memory directly.
-		ep := t.eps[from]
-		t.afterProtoCost(func() {
-			if ep.readOps == nil {
-				ep.readOps = make(map[uint64]readOp)
-			}
-			ep.nextWRID++
-			wrid := ep.nextWRID
-			ep.readOps[wrid] = readOp{from: from, header: msg.header, size: msg.size, seq: msg.seq}
-			ep.wrScratch = xport.SendWR{
-				WRID:       wrid,
-				Op:         xport.OpRead,
-				Segs:       []xport.Seg{{Mem: mem, Off: off, Len: msg.size}},
-				RemoteAddr: msg.raddr,
-				RKey:       msg.rkey,
-				Signaled:   true,
-			}
-			if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
-				panic(fmt.Sprintf("ucx: PostSend rndv-get read: %v", err))
-			}
-		})
-		return
-	}
-	cts := ctsMsg{seq: msg.seq, raddr: mem.Addr() + uint64(off), rkey: mem.RKey()}
+	ep := t.eps[from]
 	t.afterProtoCost(func() {
-		t.host.SendCtrl(from, t.kindCTS, cts)
+		if ep.readOps == nil {
+			ep.readOps = make(map[uint64]readOp)
+		}
+		ep.nextWRID++
+		wrid := ep.nextWRID
+		ep.readOps[wrid] = readOp{from: from, header: msg.header, size: msg.size, seq: msg.seq}
+		ep.wrScratch = xport.SendWR{
+			WRID:       wrid,
+			Op:         xport.OpRead,
+			Segs:       []xport.Seg{{Mem: mem, Off: off, Len: msg.size}},
+			RemoteAddr: msg.raddr,
+			RKey:       msg.rkey,
+			Signaled:   true,
+		}
+		if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
+			panic(fmt.Sprintf("ucx: PostSend rndv-get read: %v", err))
+		}
 	})
 }
 
-// onRelease (get scheme, sender side): the receiver has pulled the data.
+// onRelease (sender side): the receiver has pulled the data.
 func (t *Transport) onRelease(from int, data any) {
 	msg := data.(releaseMsg)
 	ep := t.eps[from]
-	if ep == nil || ep.rndv[msg.seq] == nil {
+	var known bool
+	if ep != nil {
+		_, known = ep.rndv[msg.seq]
+	}
+	if !known {
 		panic(fmt.Sprintf("ucx: release for unknown rendezvous seq %d", msg.seq))
 	}
 	delete(ep.rndv, msg.seq)
@@ -769,64 +641,16 @@ func (t *Transport) onRelease(from int, data any) {
 }
 
 // afterProtoCost schedules fn after this receiver's next free
-// protocol-processing slot, charging RndvRecvOverhead serialized.
+// protocol-processing slot, charging rndvRecvOverhead serialized.
 func (t *Transport) afterProtoCost(fn func()) {
 	e := t.host.Engine()
 	start := e.Now()
 	if t.protoFreeAt > start {
 		start = t.protoFreeAt
 	}
-	done := start.Add(t.cfg.RndvRecvOverhead)
+	done := start.Add(rndvRecvOverhead)
 	t.protoFreeAt = done
 	e.At(done, fn)
-}
-
-// onCTS (sender): issue the RDMA write.
-func (t *Transport) onCTS(from int, data any) {
-	msg := data.(ctsMsg)
-	ep := t.eps[from]
-	op := ep.rndv[msg.seq]
-	if op == nil {
-		panic(fmt.Sprintf("ucx: CTS for unknown rendezvous seq %d", msg.seq))
-	}
-	delete(ep.rndv, msg.seq)
-	ep.nextWRID++
-	wrid := ep.nextWRID
-	// Completion of this WRID triggers the FIN; no staging slot to free.
-	ep.slotOf[wrid] = -1
-	t.finOnAck(ep, wrid, finMsg{header: op.header, size: op.length})
-	ep.wrScratch = xport.SendWR{
-		WRID:       wrid,
-		Op:         xport.OpWrite,
-		Segs:       []xport.Seg{{Mem: op.mem, Off: op.off, Len: op.length}},
-		RemoteAddr: msg.raddr,
-		RKey:       msg.rkey,
-		Signaled:   true,
-	}
-	if err := ep.nextRail().PostSend(&ep.wrScratch); err != nil {
-		panic(fmt.Sprintf("ucx: PostSend rndv: %v", err))
-	}
-}
-
-// finOnAck registers the FIN that onWC sends when wrid completes.
-func (t *Transport) finOnAck(ep *endpoint, wrid uint64, fin finMsg) {
-	if ep.finPending == nil {
-		ep.finPending = make(map[uint64]finMsg)
-	}
-	ep.finPending[wrid] = fin
-}
-
-// onFIN (receiver): the rendezvous payload has landed; completion is
-// dispatched after the serialized protocol-processing cost.
-func (t *Transport) onFIN(from int, data any) {
-	msg := data.(finMsg)
-	if t.rndvDone == nil {
-		panic("ucx: rendezvous FIN with no completion handler installed")
-	}
-	t.afterProtoCost(func() {
-		t.rndvDone(from, msg.header, msg.size)
-		t.host.Wake()
-	})
 }
 
 // onCredit restores eager credits returned by the receiver.
@@ -853,22 +677,16 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 			panic("ucx: read completion for unknown rendezvous")
 		}
 		delete(ep.readOps, c.WRID)
-		p.Sleep(t.cfg.RndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
+		p.Sleep(rndvRecvOverhead) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		t.host.SendCtrl(ep.dst, t.kindRelease, releaseMsg{seq: op.seq})
 		if t.rndvDone == nil {
 			panic("ucx: rendezvous-get completion with no handler installed")
 		}
 		t.rndvDone(op.from, op.header, op.size)
-	case xport.CompSend, xport.CompWrite:
-		if fin, ok := ep.finPending[c.WRID]; ok {
-			delete(ep.finPending, c.WRID)
-			t.host.SendCtrl(ep.dst, t.kindFIN, fin)
-		}
+	case xport.CompSend:
 		if slot, ok := ep.slotOf[c.WRID]; ok {
 			delete(ep.slotOf, c.WRID)
-			if slot >= 0 {
-				ep.freeSlots = append(ep.freeSlots, slot)
-			}
+			ep.freeSlots = append(ep.freeSlots, slot)
 		}
 		t.flushPending(ep)
 	case xport.CompRecv:
@@ -880,9 +698,9 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		// Charge the receive-side active-message handling (tiered by
 		// protocol, inferred from the payload size) plus the copy-out of
 		// the bounce data.
-		am := t.cfg.AMProcess
-		if len(payload) > t.cfg.BcopyMax {
-			am = t.cfg.ZcopyAMProcess
+		am := amProcess
+		if len(payload) > t.bcopyMax {
+			am = zcopyAMProcess
 		}
 		p.Sleep(am + t.copyCost(len(payload))) //partlint:allow callbackblock virtual-time charge in the cost model, not a park
 		if t.eager == nil {
@@ -892,11 +710,7 @@ func (t *Transport) onWC(p *sim.Proc, ep *endpoint, c xport.Completion) {
 		t.repostBounce(ep, slot)
 		rail := slot % len(ep.rails)
 		ep.processed[rail]++
-		threshold := t.cfg.Slots / t.cfg.Rails / 2
-		if threshold < 1 {
-			threshold = 1
-		}
-		if ep.processed[rail] >= threshold {
+		if ep.processed[rail] >= creditBatch {
 			t.host.SendCtrl(ep.dst, t.kindCredit, creditMsg{rail: rail, n: ep.processed[rail]})
 			ep.processed[rail] = 0
 		}

@@ -23,7 +23,6 @@ var providers = []struct {
 	intraNode bool
 }{
 	{"verbs", false},
-	{"ucx", false},
 	{"shm", true},
 }
 
@@ -91,6 +90,20 @@ func forEachProvider(t *testing.T, fn func(t *testing.T, f *fixture)) {
 		t.Run(pc.name, func(t *testing.T) {
 			fn(t, newFixture(t, pc.name, pc.intraNode))
 		})
+	}
+}
+
+// TestConformanceCoversRegistry fails when a registered provider is
+// missing from the providers table, so no backend can skip the suite.
+func TestConformanceCoversRegistry(t *testing.T) {
+	listed := make(map[string]bool, len(providers))
+	for _, pc := range providers {
+		listed[pc.name] = true
+	}
+	for _, name := range xport.Names() {
+		if !listed[name] {
+			t.Errorf("registered provider %q is not in the conformance table", name)
+		}
 	}
 }
 

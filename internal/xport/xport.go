@@ -303,24 +303,13 @@ type Caps struct {
 	IntraNode bool
 }
 
-// MessengerConfig configures an active-message Messenger. The zero value
-// selects provider defaults for every field except Channel.
+// MessengerConfig configures an active-message Messenger. Its protocol
+// thresholds are the provider's Caps.
 type MessengerConfig struct {
 	// Channel namespaces the messenger's control messages so multiple
-	// messengers can coexist on one rank. Empty selects the provider's
+	// messengers can coexist on one rank. Empty selects the messenger's
 	// default channel name.
 	Channel string
-	// Rails is the number of endpoints used round-robin per peer. Zero
-	// selects the provider default.
-	Rails int
-	// EagerMax overrides Caps.EagerMax when positive.
-	EagerMax int
-	// RndvThreshold overrides Caps.RndvThreshold when positive.
-	RndvThreshold int
-	// RndvScheme selects the rendezvous data mover: "get" (receiver
-	// RDMA-reads from the RTS) or "put" (sender RDMA-writes after CTS).
-	// Empty selects the provider default.
-	RndvScheme string
 }
 
 // EagerHandler consumes an eager active message. data is only valid
@@ -397,14 +386,15 @@ type Host interface {
 	// this once at construction.
 	AddProgressSource(s ProgressSource)
 	// Provider returns the host's instance of the named provider,
-	// instantiating it on first use. Providers layered over other
-	// providers (like ucx over verbs) resolve their base through this.
+	// instantiating it on first use. Providers layered over another one
+	// (a tracing decorator over verbs, say) resolve their base through
+	// this.
 	Provider(name string) (Provider, error)
 }
 
 // Provider is one rank's instance of a transport backend.
 type Provider interface {
-	// Name returns the registry name ("verbs", "ucx", "shm").
+	// Name returns the registry name ("verbs", "shm").
 	Name() string
 	// Caps advertises capabilities and protocol defaults.
 	Caps() Caps

@@ -2,9 +2,11 @@ package partib_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/xport"
 	"repro/partib"
 )
 
@@ -250,5 +252,29 @@ func TestLayeredFacade(t *testing.T) {
 	}
 	if !bytes.Equal(dst, src) {
 		t.Fatal("layered facade round trip corrupted data")
+	}
+}
+
+// TestProvidersByName builds an engine and a comm over every registered
+// provider, and checks that an unregistered name, including the retired
+// "ucx" alias of verbs, is a typed error rather than a panic.
+func TestProvidersByName(t *testing.T) {
+	for _, name := range xport.Names() {
+		job := partib.NewJob(partib.JobConfig{Nodes: 1})
+		if _, err := partib.NewEngineOn(job.Rank(0), name); err != nil {
+			t.Errorf("NewEngineOn(%q): %v", name, err)
+		}
+		if _, err := partib.NewCommOn(job.Rank(0), name); err != nil {
+			t.Errorf("NewCommOn(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"ucx", "no-such-provider"} {
+		job := partib.NewJob(partib.JobConfig{Nodes: 1})
+		if _, err := partib.NewEngineOn(job.Rank(0), name); !errors.Is(err, xport.ErrUnknownProvider) {
+			t.Errorf("NewEngineOn(%q): err = %v, want ErrUnknownProvider", name, err)
+		}
+		if _, err := partib.NewCommOn(job.Rank(0), name); !errors.Is(err, xport.ErrUnknownProvider) {
+			t.Errorf("NewCommOn(%q): err = %v, want ErrUnknownProvider", name, err)
+		}
 	}
 }
